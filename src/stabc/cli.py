@@ -40,10 +40,12 @@ DEFAULT_SEED = 0
 
 def _seed_default() -> int:
     env = os.environ.get("STABC_SEED", "")
-    try:
-        return int(env) if env else DEFAULT_SEED
-    except ValueError:
+    if not env:
         return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"STABC_SEED must be an integer, got {env!r}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=_seed_default(),
+        p.add_argument("--seed", type=int, default=None,
                        help="master seed (default: STABC_SEED env var, else 0)")
         p.add_argument("--out", type=str, default=None, help="write output to this path")
 
@@ -274,6 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is None:
+            args.seed = _seed_default()
         return args.func(args)
     except (StateFileError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

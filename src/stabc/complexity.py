@@ -10,8 +10,11 @@ satisfy I + J = 2 and multiply into the complexity
 
     C(rho) = sum_{k,l} I J = d^2 - sum_{k,l} |c(k,l)(S)|^4.
 
-Both routes are implemented: the moment route is the default (one eigensolve
-plus an O(d^3) table), the definition route is the cross-checking oracle.
+Both routes are implemented and both cost O(d^3) after the one eigensolve
+for S: the moment route is the default (the square-root characteristic
+table), the definition route is the independent cross-checking oracle (the
+J/I tables from shifted diagonals of S, no operator matrices and no
+characteristic table).
 C is invariant under any per-operator phase change of the D(k, l) and under
 Clifford conjugation; it is bounded by 0 <= C <= d^2 - 2d/(d+1), with pure
 states confined to [d^2 - d, d^2 - 2d/(d+1)].
@@ -81,7 +84,7 @@ def _jordan_lie_from_parts(s: np.ndarray, dkl: np.ndarray) -> tuple[float, float
     j_trace, i_trace = 1.0 + cross, 1.0 - cross
     j_norm = 0.5 * hs_norm(ds + sd) ** 2
     i_norm = 0.5 * hs_norm(ds - sd) ** 2
-    if abs(j_trace - j_norm) > _CROSS_CHECK_TOL or abs(i_trace - i_norm) > _CROSS_CHECK_TOL:
+    if not max(abs(j_trace - j_norm), abs(i_trace - i_norm)) <= _CROSS_CHECK_TOL:
         raise ArithmeticError(
             f"trace/norm cross-check failed: J {j_trace} vs {j_norm}, I {i_trace} vs {i_norm}"
         )
@@ -89,14 +92,50 @@ def _jordan_lie_from_parts(s: np.ndarray, dkl: np.ndarray) -> tuple[float, float
 
 
 def _definition_tables(rho: DensityState) -> tuple[np.ndarray, np.ndarray]:
-    """Full (J, I) tables over all d^2 phase-space points."""
+    """Full (J, I) tables over all d^2 phase-space points in O(d^3).
+
+    Conjugation by a displacement is a shift plus a phase,
+    (D S D^dag)[a, b] = omega^(l(a-b)) S[a-k, b-k], so
+
+        Re tr(S D S D^dag) = Re sum_m omega^(lm) t[k, m],
+        t[k, m] = sum_b S[b, b+m] S[b+m-k, b-k],
+
+    the upper m-th diagonal of S against the lower m-th diagonal shifted
+    by k.  The norm form (1/2)||DS +- SD||^2 = ||S||^2 +- Re <DS, SD> is
+    expanded separately from the upper diagonals alone,
+
+        <DS, SD> = sum_n omega^(ln) sum_a conj(S[a-k, a-k+n]) S[a, a+n],
+
+    which does not assume Hermiticity, and every point is cross-checked
+    against the trace form as in the single-point evaluation.
+    """
     d = rho.dim
     s = psd_sqrt(rho)
-    jordan = np.empty((d, d), dtype=float)
-    lie = np.empty((d, d), dtype=float)
+    j = np.arange(d)
+    cols = (j[:, None] + j[None, :]) % d
+    upper = s[j[:, None], cols]  # [b, m] = S[b, b+m]
+    lower = s[cols, j[:, None]]  # [b, m] = S[b+m, b]
+    # Doubled along b, so the shift b -> b-k is the view rows d-k .. 2d-k.
+    lower2 = np.concatenate([lower, lower])
+    upper_conj2 = np.concatenate([upper, upper]).conj()
+    trace_diag = np.empty((d, d), dtype=complex)
+    norm_diag = np.empty((d, d), dtype=complex)
     for k in range(d):
-        for l in range(d):
-            jordan[k, l], lie[k, l] = _jordan_lie_from_parts(s, weyl_matrix(d, k, l))
+        trace_diag[k] = np.einsum("bm,bm->m", upper, lower2[d - k:2 * d - k])
+        norm_diag[k] = np.einsum("am,am->m", upper_conj2[d - k:2 * d - k], upper)
+    fourier = np.exp(2j * np.pi * np.outer(j, j) / d)  # [m, l] = omega^(lm)
+    cross = (trace_diag @ fourier).real
+    jordan, lie = 1.0 + cross, 1.0 - cross
+    norm_sq = hs_norm(s) ** 2
+    norm_cross = (norm_diag @ fourier).real
+    defect = max(
+        float(np.abs(jordan - (norm_sq + norm_cross)).max()),
+        float(np.abs(lie - (norm_sq - norm_cross)).max()),
+    )
+    if not defect <= _CROSS_CHECK_TOL:
+        raise ArithmeticError(
+            f"trace/norm cross-check failed: defect {defect:.3e} exceeds {_CROSS_CHECK_TOL:.1e}"
+        )
     return jordan, lie
 
 
@@ -143,13 +182,13 @@ def complexity_report(rho: DensityState) -> ComplexityReport:
     d = rho.dim
     jordan, lie = _definition_tables(rho)
     tradeoff_defect = float(np.abs(jordan + lie - 2.0).max())
-    if tradeoff_defect > _TRADEOFF_TOL:
+    if not tradeoff_defect <= _TRADEOFF_TOL:
         raise ArithmeticError(f"trade-off defect {tradeoff_defect:.3e} exceeds {_TRADEOFF_TOL:.1e}")
 
     c_def = float(np.sum(jordan * lie))
     c_mom = complexity_by_moments(rho)
     gap = abs(c_def - c_mom)
-    if gap > _PATH_GAP_TOL * d * d:
+    if not gap <= _PATH_GAP_TOL * d * d:
         raise ArithmeticError(f"route disagreement {gap:.3e} exceeds {_PATH_GAP_TOL * d * d:.1e}")
     if not -_BOUND_SLACK <= c_mom <= complexity_upper_bound(d) + _BOUND_SLACK:
         raise ArithmeticError(f"complexity {c_mom} outside [0, {complexity_upper_bound(d)}]")
@@ -158,7 +197,7 @@ def complexity_report(rho: DensityState) -> ComplexityReport:
     m4_fourth = None
     if purity >= 1.0 - _PURITY_THRESHOLD:
         m4_fourth = float(np.sum(np.abs(char_table(rho).values) ** 4))
-        if abs(m4_fourth + c_mom - d * d) > _COMPLEMENTARITY_TOL:
+        if not abs(m4_fourth + c_mom - d * d) <= _COMPLEMENTARITY_TOL:
             raise ArithmeticError(
                 f"pure-state complementarity defect {abs(m4_fourth + c_mom - d * d):.3e}"
             )

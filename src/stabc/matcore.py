@@ -100,9 +100,10 @@ def _psd_sqrt_matrix(m: np.ndarray, *, floor: float = EIGENVALUE_FLOOR) -> np.nd
 class DensityState:
     """A d-dimensional density operator with a lazily cached PSD square root.
 
-    The wrapped array is validated (Hermitian, unit trace, eigenvalues above
-    the rounding floor) and frozen; the square root is computed once on first
-    access and frozen as well, so instances are safe to share.
+    The wrapped array must be finite; with ``check`` it is also validated
+    (Hermitian, unit trace, eigenvalues above the rounding floor).  It is
+    frozen; the square root is computed once on first access and frozen as
+    well, so instances are safe to share.
     """
 
     __slots__ = ("_rho", "_sqrt")
@@ -110,6 +111,10 @@ class DensityState:
     def __init__(self, rho: np.ndarray, *, check: bool = True):
         rho = np.array(_as_square(rho), dtype=complex)
         d = check_dim(rho.shape[0])
+        # Every tolerance test below is False for NaN, so non-finite input
+        # is rejected first, whatever the check flag says.
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix has non-finite entries")
         if check:
             defect = hs_norm(rho - rho.conj().T)
             if defect > HERMITIAN_TOL * d:
@@ -152,6 +157,8 @@ class DensityState:
     def pure(cls, vector: np.ndarray) -> "DensityState":
         """Rank-1 projector onto a (re)normalized state vector."""
         v = np.asarray(vector, dtype=complex).reshape(-1)
+        if not np.isfinite(v).all():
+            raise ValueError("state vector has non-finite entries")
         n = np.linalg.norm(v)
         if n < 1e-12:
             raise ValueError("cannot normalize a (near-)zero vector")

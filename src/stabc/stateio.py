@@ -37,6 +37,8 @@ def _pairs_to_complex(pairs, what: str) -> np.ndarray:
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise StateFileError(f"{what} must be a list of [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise StateFileError(f"{what} has non-finite entries")
     return arr[:, 0] + 1j * arr[:, 1]
 
 

@@ -79,6 +79,18 @@ def test_compute_determinism(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("doc", [
+    {"dim": 2, "kind": "density",
+     "matrix": [[0.5, 0], [float("nan"), 0], [0, 0], [0.5, 0]]},
+    {"dim": 2, "kind": "pure", "amplitudes": [[1.0, 0], [float("nan"), 0]]},
+])
+def test_compute_rejects_non_finite_file(tmp_path, capsys, doc):
+    code, out, err = run_cli(capsys, "compute", write_state(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "non-finite" in err
+
+
 def test_verify_qubit_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "qubit", "--samples", "50", "--seed", "3")
     assert code == 0
@@ -106,6 +118,21 @@ def test_verify_seed_env_default(capsys, monkeypatch):
     _, out_env, _ = run_cli(capsys, "verify", "qubit", "--samples", "20")
     monkeypatch.delenv("STABC_SEED")
     _, out_flag, _ = run_cli(capsys, "verify", "qubit", "--samples", "20", "--seed", "7")
+    assert out_env == out_flag
+
+
+def test_malformed_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("STABC_SEED", "abc")
+    code, out, err = run_cli(capsys, "sample", "--d", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "STABC_SEED" in err
+
+
+def test_empty_seed_env_means_seed_0(capsys, monkeypatch):
+    monkeypatch.setenv("STABC_SEED", "")
+    _, out_env, _ = run_cli(capsys, "sample", "--d", "2")
+    _, out_flag, _ = run_cli(capsys, "sample", "--d", "2", "--seed", "0")
     assert out_env == out_flag
 
 

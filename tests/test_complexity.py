@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from helpers import naive_jordan_lie
+from helpers import naive_jordan_lie, naive_weyl_matrix
 
 from stabc import (
     DensityState,
@@ -21,6 +21,7 @@ from stabc import (
     haar_unitary,
     jordan_lie_terms,
     known_fiducial,
+    mix,
     near_pure_curvature_offset,
     psd_sqrt,
     pure_complexity_floor,
@@ -107,13 +108,56 @@ def test_reference_values():
     assert complexity_by_moments(fid3) == pytest.approx(9 - 6 / 4, abs=1e-10)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 16, 32, 64])
 def test_dual_path_agreement_random(d):
     rng = np.random.default_rng(d + 5)
     for trial in range(20):
         state = random_mixed(d, (trial % d) + 1, rng)
         gap = abs(complexity_by_definition(state) - complexity_by_moments(state))
         assert gap <= 1e-9 * d * d
+
+
+# -- the O(d^3) definition tables ----------------------------------------------
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def test_definition_tables_match_naive_oracle(d):
+    rng = np.random.default_rng(d + 11)
+    for rank in sorted({1, 2, d}):
+        state = random_mixed(d, rank, rng)
+        rep = complexity_report(state)
+        s = psd_sqrt(state)
+        for k in range(d):
+            for l in range(d):
+                oj, oi = naive_jordan_lie(s, naive_weyl_matrix(d, k, l))
+                assert rep.jordan_table[k, l] == pytest.approx(oj, abs=1e-10)
+                assert rep.lie_table[k, l] == pytest.approx(oi, abs=1e-10)
+
+
+def test_definition_cross_check_trips_on_non_hermitian_root():
+    state = random_mixed(4, 4, 3)
+    root = psd_sqrt(state).copy()
+    root[0, 1] += 1e-6
+    # Plant the perturbed root in the write-once cache the tables read.
+    state._sqrt = root
+    with pytest.raises(ArithmeticError, match="trace/norm cross-check"):
+        complexity_by_definition(state)
+
+
+def test_non_finite_input_rejected():
+    rho = np.eye(3, dtype=complex) / 3
+    for bad in (np.nan, np.inf):
+        broken = rho.copy()
+        broken[0, 1] = bad
+        for check in (True, False):
+            with pytest.raises(ValueError, match="non-finite"):
+                DensityState(broken, check=check)
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityState.pure(np.array([1.0, bad, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        bloch_to_state(BlochVector(np.nan, 0.0, 0.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        mix([basis_state(2), basis_state(2)], [0.5, np.nan])
 
 
 def test_report_t_state_complementarity():
