@@ -27,7 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .charfun import char_table, sqrt_char_table
+from .errors import NotHermitianError
 from .matcore import (
+    HERMITIAN_TOL,
     SQRT_RANK_RCOND,
     DensityState,
     _batch_psd_sqrt,
@@ -37,7 +39,7 @@ from .matcore import (
     psd_sqrt,
 )
 from .states import BlochVector
-from .weyl import WeylIndex, tau_power, weyl_matrix
+from .weyl import WeylIndex, weyl_matrix
 
 _CROSS_CHECK_TOL = 1e-10
 _TRADEOFF_TOL = 1e-10
@@ -135,6 +137,14 @@ def _definition_tables(rho: DensityState) -> tuple[np.ndarray, np.ndarray]:
     if not defect <= _CROSS_CHECK_TOL:
         raise ArithmeticError(
             f"trace/norm cross-check failed: defect {defect:.3e} exceeds {_CROSS_CHECK_TOL:.1e}"
+        )
+    # The two forms agree to first order under an anti-Hermitian change of S,
+    # so the root's Hermiticity is checked directly: ||S - S^dag|| from the
+    # upper diagonals against the conjugated lower ones.
+    asymmetry = hs_norm(upper - lower.conj())
+    if not asymmetry <= _CROSS_CHECK_TOL:
+        raise ArithmeticError(
+            f"square root is not Hermitian: defect {asymmetry:.3e} exceeds {_CROSS_CHECK_TOL:.1e}"
         )
     return jordan, lie
 
@@ -349,19 +359,29 @@ def batch_complexity(rhos: np.ndarray) -> np.ndarray:
 
     Equivalent to complexity_by_moments applied along the first axis; one
     stacked eigensolve plus structured char tables, no operators materialized.
+    Every member must be Hermitian and finite: the eigensolve reads only the
+    lower triangle, so anything else raises NotHermitianError instead of
+    giving a finite, wrong value.
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {rhos.shape}")
     d = check_dim(rhos.shape[1])
+    # NaN or inf makes the defect NaN, which fails the test as well.
+    defect = float(np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max())
+    if not defect <= HERMITIAN_TOL * d:
+        raise NotHermitianError(
+            f"stack symmetry defect {defect:.3e} exceeds {HERMITIAN_TOL * d:.3e} (or is not finite)"
+        )
     roots = _batch_psd_sqrt(rhos)
     j = np.arange(d)
     rows = np.broadcast_to(j[None, :], (d, d))
     cols = (j[None, :] + j[:, None]) % d
     gathered = roots[:, rows, cols]  # [n, k, j] = S[n, j, (j+k)%d]
     fourier = np.exp(2j * np.pi * np.outer(j, j) / d)
-    tables = tau_power(d, np.outer(j, j))[None, :, :] * (gathered @ fourier)
-    return d * d - np.sum(np.abs(tables) ** 4, axis=(1, 2))
+    # The phase tau^(kl) of each table entry has modulus 1, so |c|^4 skips it.
+    tables = gathered @ fourier
+    return d * d - np.sum((tables.real**2 + tables.imag**2) ** 2, axis=(1, 2))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,12 @@
 """Canonical state families: Bloch-vector qubit states, the pure stabilizer
 states of prime dimension, and SIC-POVM fiducial vectors with certification.
 
+The stabilizer states of a prime dimension have a closed form (Gross,
+"Hudson's theorem for finite-dimensional quantum systems", J. Math. Phys. 47,
+122107 (2006)): the Z basis, plus the quadratic-phase vectors
+v[j] = tau^(m j^2 + 2 n j) / sqrt(d) for each generator D(1, m).  Their phases
+are exact integer exponents of tau, so no eigensolver is involved.
+
 The stabilizer enumeration and the fiducial constants are never trusted as
 given: every enumerated state is certified against the extremal complexity
 value it must attain, and every built-in fiducial is passed through the
@@ -12,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -20,8 +25,8 @@ from .errors import (
     NotNormalizedError,
     NotPrimeError,
 )
-from .matcore import DensityState, check_dim, hs_norm
-from .weyl import WeylIndex, weyl_coefficient_table, weyl_matrix
+from .matcore import DensityState, check_dim
+from .weyl import WeylIndex, tau_power, weyl_coefficient_table
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -91,9 +96,14 @@ def _is_prime(n: int) -> bool:
 class StabilizerSet:
     """All pure stabilizer states of a prime dimension, grouped by generator.
 
-    states[i * dim + m] is the m-th eigenstate (eigenvalues sorted by phase)
-    of the displacement operator generating class i, where the generator
-    classes are (0, 1) followed by (1, m) for m = 0 .. d-1.
+    The generator classes are (0, 1) followed by (1, m) for m = 0 .. d-1, and
+    states[i * dim + s] is the eigenstate of class i's generator with
+    eigenvalue omega^s, so each class is in ascending eigenvalue phase in
+    [0, 2 pi).  Class (0, 1) is the Z basis: states[s] = |s>.  Class (1, m)
+    holds the quadratic-phase vectors v[j] = tau^(m j^2 + 2 n j) / sqrt(d),
+    whose D(1, m)-eigenvalue is tau^(-2n) = omega^(-n); state s is the one
+    with n = -s mod d.  The order is fixed by these integer exponents, not
+    by floating-point phases.
     """
 
     dim: int
@@ -105,9 +115,10 @@ def enumerate_stabilizer_states(d: int) -> StabilizerSet:
     """The d (d + 1) pure stabilizer states of a prime dimension d <= 13.
 
     Each of the d + 1 maximal cyclic subgroups of the displacement group is
-    represented by a generator; the joint eigenstates are its eigenvectors.
-    Every returned state is certified to attain the extremal complexity value
-    d^2 - d, and the set is checked to be pairwise distinct.
+    represented by a generator; its joint eigenstates are built in closed
+    form (see StabilizerSet for the vectors and their order).  Every returned
+    state is certified to attain the extremal complexity value d^2 - d, and
+    the set is checked to be pairwise distinct.
     """
     d = check_dim(d)
     if not _is_prime(d):
@@ -116,26 +127,30 @@ def enumerate_stabilizer_states(d: int) -> StabilizerSet:
         raise ValueError(f"stabilizer enumeration capped at d <= {STABILIZER_DIM_MAX}, got {d}")
 
     generators = [WeylIndex(0, 1, d)] + [WeylIndex(1, m, d) for m in range(d)]
+    j = np.arange(d)
+    n = (-j)[:, None] % d  # row s has eigenvalue omega^s
+    blocks = [np.eye(d, dtype=complex)] + [
+        tau_power(d, m * j * j + 2 * n * j) / np.sqrt(d) for m in range(d)
+    ]
     states: list[DensityState] = []
     floor = d * d - d
-    for gen in generators:
-        # Unitary generator: the complex Schur form is diagonal, so the Schur
-        # basis is an exactly orthonormal eigenbasis.
-        t, q = scipy.linalg.schur(weyl_matrix(d, gen.k, gen.l), output="complex")
-        phases = np.angle(np.diagonal(t)) % (2 * np.pi)
-        for col in np.argsort(phases):
-            state = DensityState.pure(q[:, col])
+    for gen, block in zip(generators, blocks):
+        for vector in block:
+            state = DensityState.pure(vector)
             c = _pure_state_complexity(state)
-            if abs(c - floor) > _EXTREMAL_TOL:
+            if not abs(c - floor) <= _EXTREMAL_TOL:
                 raise ArithmeticError(
                     f"stabilizer eigenstate of {gen} has complexity {c}, expected {floor}"
                 )
             states.append(state)
 
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            if hs_norm(states[i].rho - states[j].rho) <= 1e-6:
-                raise ArithmeticError("stabilizer enumeration produced duplicate states")
+    # ||P_i - P_j||^2 = ||P_i||^2 + ||P_j||^2 - 2 Re <P_i, P_j>, from one Gram matrix.
+    flat = np.stack([state.rho.reshape(-1) for state in states])
+    gram = (flat.conj() @ flat.T).real
+    norm_sq = np.diagonal(gram)
+    dist_sq = norm_sq[:, None] + norm_sq[None, :] - 2.0 * gram
+    if not dist_sq[np.triu_indices(len(states), 1)].min() > 1e-6**2:
+        raise ArithmeticError("stabilizer enumeration produced duplicate states")
     return StabilizerSet(d, tuple(generators), tuple(states))
 
 

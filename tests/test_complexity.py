@@ -5,6 +5,7 @@ from helpers import naive_jordan_lie, naive_weyl_matrix
 
 from stabc import (
     DensityState,
+    NotHermitianError,
     RhoPFamily,
     WeylIndex,
     batch_complexity,
@@ -141,6 +142,16 @@ def test_definition_cross_check_trips_on_non_hermitian_root():
     # Plant the perturbed root in the write-once cache the tables read.
     state._sqrt = root
     with pytest.raises(ArithmeticError, match="trace/norm cross-check"):
+        complexity_by_definition(state)
+
+
+def test_definition_tables_reject_non_hermitian_root():
+    # An anti-Hermitian change of S passes the trace/norm check at first order.
+    state = random_mixed(4, 4, 3)
+    root = psd_sqrt(state).copy()
+    root[0, 0] += 1e-6j
+    state._sqrt = root
+    with pytest.raises(ArithmeticError, match="not Hermitian"):
         complexity_by_definition(state)
 
 
@@ -424,3 +435,12 @@ def test_batch_complexity_matches_scalar():
 def test_batch_complexity_validates_shape():
     with pytest.raises(ValueError):
         batch_complexity(np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e-6])
+def test_batch_complexity_rejects_non_hermitian_or_non_finite(bad):
+    # eigh reads only the lower triangle, so the upper one must be checked.
+    rhos = np.stack([np.eye(3, dtype=complex) / 3] * 4)
+    rhos[2, 0, 1] = bad
+    with pytest.raises(NotHermitianError):
+        batch_complexity(rhos)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from helpers import naive_weyl_matrix
 
 from stabc import (
     BlochVector,
@@ -53,11 +59,11 @@ def test_bloch_vector_norm_validation():
     BlochVector(1.0, 0.0, 0.0)  # boundary is fine
 
 
-@pytest.mark.parametrize("d,count", [(2, 6), (3, 12), (5, 30)])
+@pytest.mark.parametrize("d,count", [(2, 6), (3, 12), (5, 30), (7, 56), (11, 132), (13, 182)])
 def test_stabilizer_enumeration_counts(d, count):
     group = enumerate_stabilizer_states(d)
     assert len(group.states) == count
-    assert len(group.generators) == d + 1
+    assert [(g.k, g.l) for g in group.generators] == [(0, 1)] + [(1, m) for m in range(d)]
 
 
 def test_stabilizer_d2_matches_pauli_eigenvectors():
@@ -87,6 +93,48 @@ def test_stabilizer_states_are_distinct():
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             assert hs_norm(states[i].rho - states[j].rho) > 1e-6
+
+
+PRIMES_TO_CAP = [2, 3, 5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("d", PRIMES_TO_CAP)
+def test_closed_form_states_are_generator_eigenstates_in_phase_order(d):
+    # State s of every class has eigenvalue omega^s (omega^j for the Z basis,
+    # omega^(-n) with n = -s mod d for the quadratic-phase class (1, m)), so
+    # each class is in ascending eigenvalue phase.
+    group = enumerate_stabilizer_states(d)
+    for i, gen in enumerate(group.generators):
+        dkl = naive_weyl_matrix(d, gen.k, gen.l)
+        for s in range(d):
+            proj = group.states[i * d + s].rho
+            eigenvalue = np.exp(2j * np.pi * s / d)
+            assert hs_norm(dkl @ proj - eigenvalue * proj) <= 1e-12
+
+
+@pytest.mark.parametrize("d", PRIMES_TO_CAP)
+def test_closed_form_classes_are_mutually_unbiased(d):
+    group = enumerate_stabilizer_states(d)
+    flat = np.stack([s.rho.reshape(-1) for s in group.states])
+    overlaps = (flat.conj() @ flat.T).real  # tr(P_u P_v) = |<u|v>|^2
+    block = np.arange(len(group.states)) // d
+    same_class = block[:, None] == block[None, :]
+    expected = np.where(same_class, np.eye(len(group.states)), 1.0 / d)
+    assert np.abs(overlaps - expected).max() <= 1e-12
+
+
+def test_stabilizer_duplicates_raise(monkeypatch):
+    # Flat phases make every quadratic-phase vector the uniform vector, which
+    # still sits at the floor, so only the distinctness check can catch it.
+    monkeypatch.setattr("stabc.states.tau_power", lambda d, e: np.ones(np.shape(e), complex))
+    with pytest.raises(ArithmeticError, match="duplicate"):
+        enumerate_stabilizer_states(3)
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import stabc, stabc.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_stabilizer_rejects_bad_dimensions():
