@@ -39,7 +39,7 @@ from .matcore import (
     psd_sqrt,
 )
 from .states import BlochVector
-from .weyl import WeylIndex, weyl_matrix
+from .weyl import WeylIndex, weyl_coefficient_table, weyl_matrix
 
 _CROSS_CHECK_TOL = 1e-10
 _TRADEOFF_TOL = 1e-10
@@ -167,8 +167,9 @@ class ComplexityReport:
     """Both complexity routes with their per-point tables and diagnostics.
 
     m4_fourth_power is the fourth power of the L^4 moment of the state's own
-    characteristic table; it is populated for (numerically) pure states only,
-    where it complements c_value to exactly d^2.
+    characteristic table; it is populated for pure states only (a rank-one
+    square root after eigenvalue-dust zeroing), where it complements c_value
+    to exactly d^2.
     """
 
     dim: int
@@ -205,7 +206,15 @@ def complexity_report(rho: DensityState) -> ComplexityReport:
 
     purity = rho.purity()
     m4_fourth = None
-    if purity >= 1.0 - _PURITY_THRESHOLD:
+    # Complementarity holds for pure states only, and C moves with the root's
+    # sqrt(lambda_2): purity alone accepts lambda_2 up to ~5e-9, where C is
+    # off by ~1e-4.  So the root must have rank one as well: (tr S)^2 - tr rho
+    # = sum_{i != j} sqrt(lambda_i lambda_j) is rounding-level for it and at
+    # least 2 sqrt(SQRT_RANK_RCOND) ~ 6e-7 for any root of higher rank.
+    if purity >= 1.0 - _PURITY_THRESHOLD and (
+        float(np.trace(psd_sqrt(rho)).real) ** 2 - float(np.trace(rho.rho).real)
+        <= _PURITY_THRESHOLD
+    ):
         m4_fourth = float(np.sum(np.abs(char_table(rho).values) ** 4))
         if not abs(m4_fourth + c_mom - d * d) <= _COMPLEMENTARITY_TOL:
             raise ArithmeticError(
@@ -237,6 +246,8 @@ def qubit_complexity(bloch: BlochVector | tuple[float, float, float]) -> float:
         r = bloch.as_array()
     else:
         r = np.asarray(bloch, dtype=float).reshape(3)
+        if not np.isfinite(r).all():
+            raise ValueError(f"Bloch vector has non-finite components {r}")
     r2 = float(r @ r)
     if np.sqrt(r2) > 1.0 + 1e-9:
         raise ValueError(f"Bloch vector norm {np.sqrt(r2)} exceeds 1")
@@ -357,10 +368,12 @@ def rho_p_expansion_residual(family: RhoPFamily, epsilon: float) -> float:
 def batch_complexity(rhos: np.ndarray) -> np.ndarray:
     """Moment-route complexity of a stack of density matrices, vectorized.
 
-    Equivalent to complexity_by_moments applied along the first axis; one
-    stacked eigensolve plus structured char tables, no operators materialized.
-    Every member must be Hermitian and finite: the eigensolve reads only the
-    lower triangle, so anything else raises NotHermitianError instead of
+    Equivalent to complexity_by_moments applied along the first axis: one
+    stacked square root (the closed form at d = 2, one stacked eigensolve
+    otherwise) and one stacked weyl_coefficient_table call, no operators
+    materialized.
+    Every member must be Hermitian and finite: the square root reads only
+    the lower triangle, so anything else raises NotHermitianError instead of
     giving a finite, wrong value.
     """
     rhos = np.asarray(rhos, dtype=complex)
@@ -373,14 +386,7 @@ def batch_complexity(rhos: np.ndarray) -> np.ndarray:
         raise NotHermitianError(
             f"stack symmetry defect {defect:.3e} exceeds {HERMITIAN_TOL * d:.3e} (or is not finite)"
         )
-    roots = _batch_psd_sqrt(rhos)
-    j = np.arange(d)
-    rows = np.broadcast_to(j[None, :], (d, d))
-    cols = (j[None, :] + j[:, None]) % d
-    gathered = roots[:, rows, cols]  # [n, k, j] = S[n, j, (j+k)%d]
-    fourier = np.exp(2j * np.pi * np.outer(j, j) / d)
-    # The phase tau^(kl) of each table entry has modulus 1, so |c|^4 skips it.
-    tables = gathered @ fourier
+    tables = weyl_coefficient_table(_batch_psd_sqrt(rhos))
     return d * d - np.sum((tables.real**2 + tables.imag**2) ** 2, axis=(1, 2))
 
 

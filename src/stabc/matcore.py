@@ -255,7 +255,17 @@ def _ginibre_density_batch(d: int, ranks: np.ndarray, rng: np.random.Generator) 
 
 
 def _batch_psd_sqrt(rhos: np.ndarray, *, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
-    """PSD square roots of a stack of Hermitian PSD matrices."""
+    """PSD square roots of a stack of Hermitian PSD matrices.
+
+    Reads the lower triangle of each matrix, as ``eigh`` does.  Every member
+    obeys the same policy: an eigenvalue below ``floor`` raises, and
+    eigenvalues below SQRT_RANK_RCOND of the member's largest are zeroed.
+    d >= 3 uses one stacked ``eigh``; d = 2 uses the closed form
+    S = (rho + sqrt(l+ l-) 1) / (sqrt(l+) + sqrt(l-)), which needs no
+    eigenvectors.
+    """
+    if rhos.shape[-1] == 2:
+        return _qubit_psd_sqrt(rhos, floor)
     w, v = np.linalg.eigh(rhos)
     if float(w.min()) < floor:
         raise NegativeEigenvalueError(
@@ -263,3 +273,31 @@ def _batch_psd_sqrt(rhos: np.ndarray, *, floor: float = EIGENVALUE_FLOOR) -> np.
         )
     w = np.where(w < SQRT_RANK_RCOND * w[:, -1:], 0.0, w)
     return np.einsum("nij,nj,nkj->nik", v, np.sqrt(w), v.conj())
+
+
+def _qubit_psd_sqrt(rhos: np.ndarray, floor: float) -> np.ndarray:
+    a = rhos[..., 0, 0].real
+    c = rhos[..., 1, 1].real
+    b = rhos[..., 1, 0]
+    b2 = b.real**2 + b.imag**2
+    lam_plus = 0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b2)
+    # det / l+ rather than tr - l+, which cancels for near-pure states; where
+    # l+ <= 0 there is nothing to divide by and nothing to cancel.
+    lam_minus = np.divide(a * c - b2, lam_plus, out=(a + c) - lam_plus, where=lam_plus > 0)
+    if float(lam_minus.min()) < floor:
+        raise NegativeEigenvalueError(
+            f"batch eigenvalue {lam_minus.min():.3e} below tolerated floor {floor:.1e}"
+        )
+    cut = SQRT_RANK_RCOND * lam_plus
+    lam_minus = np.where(lam_minus < cut, 0.0, lam_minus)
+    lam_plus = np.where(lam_plus < cut, 0.0, lam_plus)
+    norm = np.sqrt(lam_plus) + np.sqrt(lam_minus)
+    # A member whose eigenvalues are both zeroed has the zero root.
+    scale = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
+    shift = np.sqrt(lam_plus * lam_minus)
+    root = np.empty(rhos.shape, dtype=complex)
+    root[..., 0, 0] = (a + shift) * scale
+    root[..., 1, 1] = (c + shift) * scale
+    root[..., 1, 0] = b * scale
+    root[..., 0, 1] = b.conj() * scale
+    return root

@@ -48,6 +48,9 @@ class BlochVector:
     r3: float
 
     def __post_init__(self):
+        # The norm test below is False for NaN, so non-finite input is rejected first.
+        if not np.isfinite(self.as_array()).all():
+            raise ValueError(f"Bloch vector has non-finite components {self.as_array()}")
         if self.norm() > 1.0 + _BLOCH_NORM_TOL:
             raise ValueError(f"Bloch vector norm {self.norm()} exceeds 1")
 
@@ -77,13 +80,6 @@ def state_to_bloch(rho: DensityState) -> BlochVector:
             raise ValueError(f"Bloch component has imaginary part {val.imag:.3e}")
         comps.append(val.real)
     return BlochVector(*comps)
-
-
-def _pure_state_complexity(rho: DensityState) -> float:
-    # For projectors sqrt(rho) = rho, so the moment formula needs no eigensolve.
-    table = weyl_coefficient_table(rho.rho)
-    d = rho.dim
-    return float(d * d - np.sum(np.abs(table) ** 4))
 
 
 def _is_prime(n: int) -> bool:
@@ -132,20 +128,21 @@ def enumerate_stabilizer_states(d: int) -> StabilizerSet:
     blocks = [np.eye(d, dtype=complex)] + [
         tau_power(d, m * j * j + 2 * n * j) / np.sqrt(d) for m in range(d)
     ]
-    states: list[DensityState] = []
+    states = [DensityState.pure(vector) for block in blocks for vector in block]
+    projectors = np.stack([state.rho for state in states])
+
+    # For projectors sqrt(rho) = rho, so the moment formula needs no eigensolve.
     floor = d * d - d
-    for gen, block in zip(generators, blocks):
-        for vector in block:
-            state = DensityState.pure(vector)
-            c = _pure_state_complexity(state)
-            if not abs(c - floor) <= _EXTREMAL_TOL:
-                raise ArithmeticError(
-                    f"stabilizer eigenstate of {gen} has complexity {c}, expected {floor}"
-                )
-            states.append(state)
+    c = d * d - np.sum(np.abs(weyl_coefficient_table(projectors)) ** 4, axis=(1, 2))
+    off = np.flatnonzero(~(np.abs(c - floor) <= _EXTREMAL_TOL))
+    if off.size:
+        i = int(off[0])
+        raise ArithmeticError(
+            f"stabilizer eigenstate of {generators[i // d]} has complexity {c[i]}, expected {floor}"
+        )
 
     # ||P_i - P_j||^2 = ||P_i||^2 + ||P_j||^2 - 2 Re <P_i, P_j>, from one Gram matrix.
-    flat = np.stack([state.rho.reshape(-1) for state in states])
+    flat = projectors.reshape(len(states), -1)
     gram = (flat.conj() @ flat.T).real
     norm_sq = np.diagonal(gram)
     dist_sq = norm_sq[:, None] + norm_sq[None, :] - 2.0 * gram

@@ -145,15 +145,42 @@ def weyl_coefficient_table(a: np.ndarray) -> np.ndarray:
 
     Uses the one-nonzero-per-column structure: tr(D(k,l) A) =
     tau^(kl) sum_j omega^(lj) A[j, (j+k) mod d].
+
+    ``a`` may also be a stack of shape (..., d, d); the result then has the
+    same shape, one table per matrix, and every row of the stack goes
+    through a single matrix product with the Fourier matrix.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    d = check_dim(a.shape[0])
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    d = check_dim(a.shape[-1])
+    flat, fourier, phase = _table_constants(d)
+    # take returns the gather in C order, so the reshape to rows is a view,
+    # not a copy of the stack.
+    gathered = a.reshape(a.shape[:-2] + (d * d,)).take(flat, axis=-1)
+    table = (gathered.reshape(-1, d) @ fourier).reshape(a.shape)
+    # In place, with tau as the first operand: numpy's complex multiply
+    # rounds differently with the operands swapped, and printed values
+    # (verify rows, extremal min/max) carry those last bits.
+    return np.multiply(phase, table, out=table)
+
+
+@lru_cache(maxsize=16)
+def _table_constants(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gather index, Fourier matrix and phases of :func:`weyl_coefficient_table`.
+
+    flat[k, j] is the flat index of A[j, (j+k) mod d], fourier[j, l] =
+    omega^(jl) and phase[k, l] = tau^(kl).  They depend on d alone and cost
+    more than the table itself at small d, so they are built once per d.
+    """
     j = np.arange(d)
-    gathered = a[j[None, :], (j[None, :] + j[:, None]) % d]  # [k, j] = A[j, (j+k)%d]
-    fourier = np.exp(2j * np.pi * np.outer(j, j) / d)  # [j, l] = omega^(jl)
-    return tau_power(d, np.outer(j, j)) * (gathered @ fourier)
+    kl = np.outer(j, j)
+    constants = ((j[None, :] + j[:, None]) % d + d * j,
+                 np.exp(2j * np.pi * kl / d),
+                 tau_power(d, kl))
+    for array in constants:
+        array.setflags(write=False)
+    return constants
 
 
 def weyl_expand(coefficients: np.ndarray) -> np.ndarray:

@@ -1,10 +1,15 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 from helpers import naive_jordan_lie, naive_weyl_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabc import (
     DensityState,
+    NegativeEigenvalueError,
     NotHermitianError,
     RhoPFamily,
     WeylIndex,
@@ -198,6 +203,17 @@ def test_report_mixed_state_has_no_m4():
     assert complexity_report(random_mixed(3, 2, 9)).m4_fourth_power is None
 
 
+@pytest.mark.parametrize("ratio, pure", [(1e-14, True), (1e-12, False), (1e-9, False)])
+def test_report_near_pure_state(ratio, pure):
+    # Purity is above 1 - 1e-8 in every case, but only the first root is rank
+    # one; complementarity used to be checked on the others and raised.
+    u = haar_unitary(2, 5)
+    rho = (u * np.array([1.0, ratio])) @ u.conj().T / (1.0 + ratio)
+    rep = complexity_report(DensityState((rho + rho.conj().T) / 2))
+    assert rep.purity >= 1.0 - 1e-8
+    assert (rep.m4_fourth_power is not None) == pure
+
+
 # -- qubit closed form ---------------------------------------------------------
 
 
@@ -223,6 +239,13 @@ def test_qubit_closed_form_matches_generic_path():
 def test_qubit_rejects_outside_ball():
     with pytest.raises(ValueError):
         qubit_complexity((1.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_qubit_rejects_non_finite_tuple(bad):
+    # The norm test alone is False for NaN, which used to return C = nan.
+    with pytest.raises(ValueError, match="non-finite"):
+        qubit_complexity((bad, 0.1, 0.0))
 
 
 # -- the depolarized-pure family ----------------------------------------------
@@ -432,6 +455,50 @@ def test_batch_complexity_matches_scalar():
         assert np.allclose(batched, scalar, atol=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-14, 1e-12, 1e-10, 1e-8])
+def test_batch_complexity_matches_qubit_closed_form(eps):
+    # |r|^2 = 1 - eps: pure states and the near-pure edge of the qubit root.
+    rng = np.random.default_rng(7)
+    directions = np.vstack([np.eye(3), rng.standard_normal((40, 3))])
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    bloch = directions * np.sqrt(1.0 - eps)
+    rhos = np.stack([bloch_to_state(BlochVector(*r)).rho for r in bloch])
+    expected = [qubit_complexity(tuple(r)) for r in bloch]
+    assert np.abs(batch_complexity(rhos) - expected).max() <= 1e-9
+
+
+# Near SQRT_RANK_RCOND = 1e-13 rounding of the smallest eigenvalue decides
+# whether it is zeroed, and the two roots may decide differently (a gap of
+# order sqrt(1e-13)), so ratios in [5e-14, 2e-13] are left out.
+_RCOND_BAND = (np.log10(5e-14), np.log10(2e-13))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.floats(-14.0, -8.0).filter(lambda x: not _RCOND_BAND[0] <= x <= _RCOND_BAND[1]),
+    st.integers(0, 2**32 - 1),
+)
+def test_near_rank_deficient_states(d, log_ratio, seed):
+    # Spectra whose smallest eigenvalue is 10^log_ratio of the largest.
+    rng = np.random.default_rng(seed)
+    spectrum = rng.uniform(0.1, 1.0, size=d)
+    spectrum[0] = 10.0**log_ratio * spectrum.max()
+    rhos = []
+    for i in range(3):
+        u = haar_unitary(d, [seed, i])
+        rho = (u * spectrum) @ u.conj().T
+        rho = (rho + rho.conj().T) / (2 * spectrum.sum())
+        rhos.append(rho)
+    batched = batch_complexity(np.stack(rhos))
+    for rho, c_batch in zip(rhos, batched):
+        state = DensityState(rho)
+        rep = complexity_report(state)
+        assert rep.path_gap <= 1e-9 * d * d
+        assert -1e-9 <= rep.c_value <= complexity_upper_bound(d) + 1e-9
+        assert abs(c_batch - complexity_by_moments(state)) <= 1e-9 * d * d
+
+
 def test_batch_complexity_validates_shape():
     with pytest.raises(ValueError):
         batch_complexity(np.eye(3))
@@ -439,8 +506,30 @@ def test_batch_complexity_validates_shape():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e-6])
 def test_batch_complexity_rejects_non_hermitian_or_non_finite(bad):
-    # eigh reads only the lower triangle, so the upper one must be checked.
-    rhos = np.stack([np.eye(3, dtype=complex) / 3] * 4)
-    rhos[2, 0, 1] = bad
-    with pytest.raises(NotHermitianError):
+    # eigh (d = 3) and the qubit root (d = 2) read only the lower triangle,
+    # so the upper one must be checked.
+    for d in (2, 3):
+        rhos = np.stack([np.eye(d, dtype=complex) / d] * 4)
+        rhos[2, 0, 1] = bad
+        with pytest.raises(NotHermitianError):
+            batch_complexity(rhos)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("spectrum", [(1.0 + 1e-9, -1e-9), (0.0, -1.0)])
+def test_batch_complexity_rejects_negative_eigenvalue(d, spectrum):
+    # (0, -1) has a zero top eigenvalue, so l- of the qubit root is not det / l+.
+    rhos = np.stack([np.eye(d, dtype=complex) / d] * 3)
+    rhos[1] = np.diag([spectrum[0]] + [0.0] * (d - 2) + [spectrum[1]])
+    with pytest.raises(NegativeEigenvalueError):
         batch_complexity(rhos)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batch_complexity_zero_member(d):
+    # The zero matrix has the zero root, so C = d^2, without a division warning.
+    rhos = np.stack([np.zeros((d, d), dtype=complex), np.eye(d, dtype=complex) / d])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = batch_complexity(rhos)
+    assert values == pytest.approx([d * d, 0.0], abs=1e-12)

@@ -15,6 +15,7 @@ from stabc import (
     random_pure,
     weyl_matrix,
 )
+from stabc.matcore import _batch_psd_sqrt, _ginibre_density_batch
 from stabc.states import SIGMA_X, SIGMA_Z, state_to_bloch
 
 SQRT3_4 = np.sqrt(0.75)  # sqrt of the 0.75 eigenvalue, frozen oracle value
@@ -80,6 +81,17 @@ def test_psd_sqrt_rejects_indefinite():
     bad._sqrt = None
     with pytest.raises(NegativeEigenvalueError):
         psd_sqrt(bad)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batch_psd_sqrt_matches_scalar_root(d):
+    # d = 2 takes the closed form, d = 3 the stacked eigh; both must agree
+    # with the scalar root, pure members included.
+    rng = np.random.default_rng(11)
+    rhos = _ginibre_density_batch(d, rng.integers(1, d + 1, size=200), rng)
+    roots = _batch_psd_sqrt(rhos)
+    for rho, root in zip(rhos, roots):
+        assert np.abs(root - psd_sqrt(DensityState(rho))).max() <= 1e-13
 
 
 def test_hs_inner_values():

@@ -59,6 +59,14 @@ def test_bloch_vector_norm_validation():
     BlochVector(1.0, 0.0, 0.0)  # boundary is fine
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bloch_vector_rejects_non_finite(bad):
+    # The norm test alone is False for NaN, so NaN used to pass.
+    for components in ((bad, 0.0, 0.0), (0.0, 0.0, bad)):
+        with pytest.raises(ValueError, match="non-finite"):
+            BlochVector(*components)
+
+
 @pytest.mark.parametrize("d,count", [(2, 6), (3, 12), (5, 30), (7, 56), (11, 132), (13, 182)])
 def test_stabilizer_enumeration_counts(d, count):
     group = enumerate_stabilizer_states(d)
@@ -129,6 +137,16 @@ def test_stabilizer_duplicates_raise(monkeypatch):
     monkeypatch.setattr("stabc.states.tau_power", lambda d, e: np.ones(np.shape(e), complex))
     with pytest.raises(ArithmeticError, match="duplicate"):
         enumerate_stabilizer_states(3)
+
+
+def test_stabilizer_certification_names_the_failing_class(monkeypatch):
+    # Cubic phases make the (1, m) vectors non-stabilizer states, above the floor.
+    monkeypatch.setattr(
+        "stabc.states.tau_power",
+        lambda d, e: np.exp(1j * np.asarray(e, dtype=float) ** 1.5),
+    )
+    with pytest.raises(ArithmeticError, match=r"WeylIndex\(k=1, l=0, dim=5\).*expected 20"):
+        enumerate_stabilizer_states(5)
 
 
 def test_import_does_not_load_scipy():

@@ -16,6 +16,7 @@ from stabc import (
     is_clifford,
     tau_power,
     weyl_basis_check,
+    weyl_coefficient_table,
     weyl_matrix,
     weyl_op,
     weyl_product_phase,
@@ -138,6 +139,24 @@ def test_product_phase_dim_mismatch():
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
 def test_basis_orthogonality(d):
     assert weyl_basis_check(d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+@pytest.mark.parametrize("lead", [(7,), (2, 3)])
+def test_coefficient_table_of_a_stack_matches_per_matrix(d, lead):
+    rng = np.random.default_rng(d)
+    shape = (*lead, d, d)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tables = weyl_coefficient_table(stack)
+    assert tables.shape == shape
+    for idx in np.ndindex(*lead):
+        assert np.abs(tables[idx] - weyl_coefficient_table(stack[idx])).max() <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 2, 3), (3, 3, 2)])
+def test_coefficient_table_rejects_non_square(shape):
+    with pytest.raises(ValueError):
+        weyl_coefficient_table(np.zeros(shape))
 
 
 def test_weyl_stack_is_cached_and_frozen():
