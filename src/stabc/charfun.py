@@ -68,9 +68,6 @@ class CharTable:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def moduli(self) -> np.ndarray:
-        return np.abs(self.values)
-
 
 def char_table(a: np.ndarray | DensityState) -> CharTable:
     """Characteristic table c(k, l) = tr(D(k, l) A).

@@ -58,12 +58,6 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def hermitianize(m: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (m + m^dag) / 2."""
-    m = np.asarray(m, dtype=complex)
-    return (m + m.conj().T) / 2
-
-
 def hermitian_eig(m: np.ndarray, *, tol: float = EIG_HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -78,23 +72,6 @@ def hermitian_eig(m: np.ndarray, *, tol: float = EIG_HERMITIAN_TOL) -> tuple[np.
         raise NotHermitianError(f"symmetry defect {defect:.3e} exceeds {tol * d:.3e}")
     w, v = np.linalg.eigh(m)
     return w, v
-
-
-def _psd_sqrt_matrix(m: np.ndarray, *, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
-    """PSD square root of a Hermitian PSD matrix with eigenvalue-dust clamping.
-
-    Eigenvalues in [floor, 0) are rounding dust and are clamped to zero; more
-    negative values indicate an invalid operator and raise.  Positive dust
-    below SQRT_RANK_RCOND of the top eigenvalue is zeroed as well.
-    """
-    w, v = np.linalg.eigh(hermitianize(m))
-    if w[0] < floor:
-        raise NegativeEigenvalueError(
-            f"eigenvalue {w[0]:.3e} below tolerated floor {floor:.1e}"
-        )
-    w = np.where(w < SQRT_RANK_RCOND * w[-1], 0.0, w)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return hermitianize(root)
 
 
 class DensityState:
@@ -124,7 +101,7 @@ class DensityState:
             tr = complex(np.trace(rho))
             if abs(tr - 1.0) > TRACE_TOL:
                 raise ValueError(f"trace {tr} is not 1 within {TRACE_TOL:.1e}")
-            wmin = float(np.linalg.eigvalsh(hermitianize(rho))[0])
+            wmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
             if wmin < EIGENVALUE_FLOOR:
                 raise NegativeEigenvalueError(
                     f"eigenvalue {wmin:.3e} below tolerated floor {EIGENVALUE_FLOOR:.1e}"
@@ -175,9 +152,14 @@ class DensityState:
 
 
 def psd_sqrt(state: DensityState) -> np.ndarray:
-    """Square root of a density operator, cached write-once on the state."""
+    """Square root of a density operator, cached write-once on the state.
+
+    The root comes from :func:`_batch_psd_sqrt` on a stack of one, so a
+    single state and a stack follow the same floor and dust rules; it is
+    checked against rho once, when first computed.
+    """
     if state._sqrt is None:
-        root = _psd_sqrt_matrix(state.rho)
+        root = _batch_psd_sqrt(state.rho[None])[0]
         if hs_norm(root @ root - state.rho) > SQRT_CONSISTENCY_TOL:
             raise ArithmeticError("square-root consistency check failed")
         root.setflags(write=False)
@@ -255,24 +237,28 @@ def _ginibre_density_batch(d: int, ranks: np.ndarray, rng: np.random.Generator) 
 
 
 def _batch_psd_sqrt(rhos: np.ndarray, *, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
-    """PSD square roots of a stack of Hermitian PSD matrices.
+    """PSD square roots of a stack of Hermitian PSD matrices, shape (..., d, d).
 
-    Reads the lower triangle of each matrix, as ``eigh`` does.  Every member
-    obeys the same policy: an eigenvalue below ``floor`` raises, and
-    eigenvalues below SQRT_RANK_RCOND of the member's largest are zeroed.
-    d >= 3 uses one stacked ``eigh``; d = 2 uses the closed form
-    S = (rho + sqrt(l+ l-) 1) / (sqrt(l+) + sqrt(l-)), which needs no
-    eigenvectors.
+    The one root kernel: :func:`psd_sqrt` calls it on a stack of one.  Reads
+    the lower triangle of each matrix, as ``eigh`` does.  Every member obeys
+    the same policy: an eigenvalue below ``floor`` raises, and eigenvalues
+    below SQRT_RANK_RCOND of the member's largest are zeroed.  d >= 3 uses
+    one stacked ``eigh`` and rebuilds each root as one matrix product; d = 2
+    uses the closed form S = (rho + sqrt(l+ l-) 1) / (sqrt(l+) + sqrt(l-)),
+    which needs no eigenvectors.
     """
     if rhos.shape[-1] == 2:
         return _qubit_psd_sqrt(rhos, floor)
     w, v = np.linalg.eigh(rhos)
     if float(w.min()) < floor:
         raise NegativeEigenvalueError(
-            f"batch eigenvalue {w.min():.3e} below tolerated floor {floor:.1e}"
+            f"eigenvalue {w.min():.3e} below tolerated floor {floor:.1e}"
         )
-    w = np.where(w < SQRT_RANK_RCOND * w[:, -1:], 0.0, w)
-    return np.einsum("nij,nj,nkj->nik", v, np.sqrt(w), v.conj())
+    w = np.where(w < SQRT_RANK_RCOND * w[..., -1:], 0.0, w)
+    scaled = v * np.sqrt(w)[..., None, :]
+    # Conjugated in place: a conjugated copy would be one more stack-sized
+    # temporary at the peak of a large batch.
+    return scaled @ np.conjugate(v, out=v).swapaxes(-1, -2)
 
 
 def _qubit_psd_sqrt(rhos: np.ndarray, floor: float) -> np.ndarray:
@@ -286,7 +272,7 @@ def _qubit_psd_sqrt(rhos: np.ndarray, floor: float) -> np.ndarray:
     lam_minus = np.divide(a * c - b2, lam_plus, out=(a + c) - lam_plus, where=lam_plus > 0)
     if float(lam_minus.min()) < floor:
         raise NegativeEigenvalueError(
-            f"batch eigenvalue {lam_minus.min():.3e} below tolerated floor {floor:.1e}"
+            f"eigenvalue {lam_minus.min():.3e} below tolerated floor {floor:.1e}"
         )
     cut = SQRT_RANK_RCOND * lam_plus
     lam_minus = np.where(lam_minus < cut, 0.0, lam_minus)

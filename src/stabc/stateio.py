@@ -65,51 +65,59 @@ def _load_amplitudes(payload, d: int, what: str) -> np.ndarray:
 
 
 def state_from_dict(doc: dict) -> DensityState:
-    """Build a validated density state from a parsed state-file object."""
+    """Build a validated density state from a parsed state-file object.
+
+    Input it cannot turn into a valid state raises :class:`StateFileError`,
+    never another exception; overflow raises rather than warns, so entries
+    near the float range are rejected too.
+    """
     if not isinstance(doc, dict):
         raise StateFileError("state file must contain a JSON object")
     try:
         d = int(doc["dim"])
         kind = doc["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StateFileError(f"state file needs integer 'dim' and string 'kind': {exc}") from exc
     if kind not in KINDS:
         raise StateFileError(f"unknown kind {kind!r}, expected one of {KINDS}")
 
     try:
-        if kind == "pure":
-            return DensityState.pure(_load_amplitudes(doc["amplitudes"], d, "pure state"))
-        if kind == "density":
-            m = _pairs_to_complex(doc["matrix"], "density matrix")
-            if m.size != d * d:
-                raise StateFileError(f"density matrix has {m.size} entries, expected {d * d}")
-            return DensityState(m.reshape(d, d))
-        if kind == "bloch":
-            if d != 2:
-                raise StateFileError(f"bloch payload requires dim = 2, got {d}")
-            triple = [float(x) for x in doc["bloch"]]
-            if len(triple) != 3:
-                raise StateFileError("bloch payload must have exactly 3 components")
-            return bloch_to_state(BlochVector(*triple))
-        components = doc["mixture"]
-        if not isinstance(components, list) or not components:
-            raise StateFileError("mixture payload must be a non-empty list")
-        weights = np.array([float(c["weight"]) for c in components])
-        if np.any(weights < 0):
-            raise StateFileError("mixture weights must be nonnegative")
-        if abs(float(weights.sum()) - 1.0) > _WEIGHT_TOL:
-            raise StateFileError(
-                f"mixture weights sum to {float(weights.sum())}, expected 1 within {_WEIGHT_TOL:g}"
-            )
-        parts = [
-            DensityState.pure(_load_amplitudes(c["amplitudes"], d, f"mixture component {i}"))
-            for i, c in enumerate(components)
-        ]
-        return mix(parts, weights)
+        with np.errstate(over="raise"):
+            if kind == "pure":
+                return DensityState.pure(_load_amplitudes(doc["amplitudes"], d, "pure state"))
+            if kind == "density":
+                m = _pairs_to_complex(doc["matrix"], "density matrix")
+                if m.size != d * d:
+                    raise StateFileError(f"density matrix has {m.size} entries, expected {d * d}")
+                return DensityState(m.reshape(d, d))
+            if kind == "bloch":
+                if d != 2:
+                    raise StateFileError(f"bloch payload requires dim = 2, got {d}")
+                triple = [float(x) for x in doc["bloch"]]
+                if len(triple) != 3:
+                    raise StateFileError("bloch payload must have exactly 3 components")
+                return bloch_to_state(BlochVector(*triple))
+            components = doc["mixture"]
+            if not isinstance(components, list) or not components:
+                raise StateFileError("mixture payload must be a non-empty list")
+            weights = np.array([float(c["weight"]) for c in components])
+            if np.any(weights < 0):
+                raise StateFileError("mixture weights must be nonnegative")
+            if abs(float(weights.sum()) - 1.0) > _WEIGHT_TOL:
+                raise StateFileError(
+                    f"mixture weights sum to {float(weights.sum())}, expected 1 within {_WEIGHT_TOL:g}"
+                )
+            parts = [
+                DensityState.pure(_load_amplitudes(c["amplitudes"], d, f"mixture component {i}"))
+                for i, c in enumerate(components)
+            ]
+            return mix(parts, weights)
     except StateFileError:
         raise
     except KeyError as exc:
         raise StateFileError(f"state file is missing field {exc}") from exc
+    except (TypeError, OverflowError, FloatingPointError) as exc:
+        raise StateFileError(f"state file has a malformed value: {exc}") from exc
     except ValueError as exc:
         raise StateFileError(f"state validation failed: {exc}") from exc
 

@@ -35,13 +35,6 @@ UNITARY_TOL = 1e-10
 CLIFFORD_OVERLAP_TOL = 1e-8
 _PHASE_SNAP_TOL = 1e-6
 
-_STACK_CACHE_MAX_DIM = 16
-
-
-def omega(d: int) -> complex:
-    """Primitive d-th root of unity exp(2 pi i / d)."""
-    return np.exp(2j * np.pi / d)
-
 
 def tau_power(d: int, e) -> complex | np.ndarray:
     """tau^e with tau = -exp(i pi / d), for integer exponent(s) e.
@@ -87,18 +80,6 @@ class PhaseExponent:
         return tau_power(self.dim, self.exponent)
 
 
-@dataclass(frozen=True)
-class WeylOperator:
-    """A displacement operator together with its phase-space index."""
-
-    index: WeylIndex
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.index.dim
-
-
 def weyl_matrix(d: int, k: int, l: int) -> np.ndarray:
     """Matrix of D(k, l); single nonzero per column: D[(j+k) mod d, j] = tau^(kl+2lj)."""
     d = check_dim(d)
@@ -110,34 +91,18 @@ def weyl_matrix(d: int, k: int, l: int) -> np.ndarray:
     return m
 
 
-def weyl_op(d: int, k: int, l: int) -> WeylOperator:
-    """Construct D(k, l) with its index; D(0, 0) is the identity."""
-    m = weyl_matrix(d, k, l)
-    m.setflags(write=False)
-    return WeylOperator(WeylIndex(k, l, d), m)
+def weyl_stack(d: int) -> np.ndarray:
+    """All d^2 displacement matrices as an array indexed [k, l].
 
-
-def _build_stack(d: int) -> np.ndarray:
-    j = np.arange(d)
-    stack = np.zeros((d, d, d, d), dtype=complex)
+    Filled in place from :func:`weyl_matrix`, the one writer of D(k, l)
+    entries; at d = 64 the stack alone is 268 MB, so no second copy is made.
+    """
+    d = check_dim(d)
+    stack = np.empty((d, d, d, d), dtype=complex)
     for k in range(d):
         for l in range(d):
-            stack[k, l, (j + k) % d, j] = tau_power(d, k * l + 2 * l * j)
-    stack.setflags(write=False)
+            stack[k, l] = weyl_matrix(d, k, l)
     return stack
-
-
-@lru_cache(maxsize=8)
-def _cached_stack(d: int) -> np.ndarray:
-    return _build_stack(d)
-
-
-def weyl_stack(d: int) -> np.ndarray:
-    """All d^2 displacement matrices as an array indexed [k, l]."""
-    d = check_dim(d)
-    if d <= _STACK_CACHE_MAX_DIM:
-        return _cached_stack(d)
-    return _build_stack(d)
 
 
 def weyl_coefficient_table(a: np.ndarray) -> np.ndarray:
@@ -285,8 +250,3 @@ def clifford_conjugation_table(
                 return None
             table[(k, l)] = (phase, WeylIndex(s, t, d))
     return table
-
-
-def is_clifford(u: np.ndarray) -> bool:
-    """Whether conjugation by u permutes the displacement operators (up to phase)."""
-    return clifford_conjugation_table(u) is not None

@@ -7,6 +7,8 @@ implementations under test.
 
 import numpy as np
 
+from stabc.matcore import SQRT_RANK_RCOND
+
 
 def naive_weyl_matrix(d: int, k: int, l: int) -> np.ndarray:
     """tau^(kl) X^k Z^l from explicit matrix powers."""
@@ -34,6 +36,18 @@ def naive_jordan_lie(s: np.ndarray, dkl: np.ndarray) -> tuple[float, float]:
     j = 0.5 * np.trace(anti @ anti.conj().T).real
     i = 0.5 * np.trace(comm @ comm.conj().T).real
     return float(j), float(i)
+
+
+def naive_psd_sqrt(rho: np.ndarray) -> np.ndarray:
+    """PSD root from one eigh of the Hermitian part, hermitianized again.
+
+    Eigenvalues below SQRT_RANK_RCOND of the largest are zeroed, the
+    library's dust policy, so rank-deficient roots are comparable at 1e-13.
+    """
+    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
+    w = np.where(w < SQRT_RANK_RCOND * w[-1], 0.0, w)
+    root = (v * np.sqrt(w)) @ v.conj().T
+    return (root + root.conj().T) / 2
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:

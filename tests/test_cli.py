@@ -91,6 +91,21 @@ def test_compute_rejects_non_finite_file(tmp_path, capsys, doc):
     assert err.startswith("error:") and "non-finite" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"dim": 2, "kind": "bloch", "bloch": 5},
+    {"dim": float("inf"), "kind": "bloch", "bloch": [0, 0, 1]},
+    {"dim": 2, "kind": "bloch", "bloch": [None, 0, 0]},
+    {"dim": 2, "kind": "mixture", "mixture": [[1, 0]]},
+    {"dim": 2, "kind": "mixture", "mixture": [{"weight": None, "amplitudes": [[1, 0], [0, 0]]}]},
+    {"dim": 2, "kind": "pure", "amplitudes": {"re": 1}},
+])
+def test_compute_rejects_malformed_file(tmp_path, capsys, doc):
+    code, out, err = run_cli(capsys, "compute", write_state(tmp_path, doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_qubit_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "qubit", "--samples", "50", "--seed", "3")
     assert code == 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_hermitian
+from helpers import naive_psd_sqrt, random_hermitian
 
 from stabc import (
     DensityState,
@@ -83,15 +83,19 @@ def test_psd_sqrt_rejects_indefinite():
         psd_sqrt(bad)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 8])
 def test_batch_psd_sqrt_matches_scalar_root(d):
-    # d = 2 takes the closed form, d = 3 the stacked eigh; both must agree
-    # with the scalar root, pure members included.
+    # d = 2 takes the closed form, d = 3 and 8 the stacked eigh and the
+    # matrix-product rebuild.  The kernel on the stack and psd_sqrt on each
+    # member must both agree with the independent eigh root, pure members
+    # included.
     rng = np.random.default_rng(11)
     rhos = _ginibre_density_batch(d, rng.integers(1, d + 1, size=200), rng)
     roots = _batch_psd_sqrt(rhos)
     for rho, root in zip(rhos, roots):
-        assert np.abs(root - psd_sqrt(DensityState(rho))).max() <= 1e-13
+        expected = naive_psd_sqrt(rho)
+        assert np.abs(root - expected).max() <= 1e-13
+        assert np.abs(psd_sqrt(DensityState(rho)) - expected).max() <= 1e-13
 
 
 def test_hs_inner_values():

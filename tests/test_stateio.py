@@ -1,10 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stabc import DensityState, StateFileError, random_mixed, state_to_bloch
 from stabc.stateio import (
+    KINDS,
     bloch_state_dict,
     density_state_dict,
     load_state,
@@ -115,3 +119,62 @@ def test_save_state_round_trip(tmp_path):
     path = tmp_path / "mm.json"
     save_state(doc, path)
     assert np.allclose(load_state(path).rho, np.eye(2) / 2)
+
+
+_FIELDS = ("amplitudes", "matrix", "bloch", "mixture")
+# Any JSON value, NaN, the infinities and floats near the overflow range
+# included, since json.loads accepts them.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["dim", "kind", "weight", *_FIELDS]) | st.text(max_size=3),
+                      inner, max_size=4),
+    max_leaves=12,
+)
+_NUMBER = st.sampled_from([0, 1, -1, 0.5]) | st.floats()
+_PAIRS = st.lists(st.lists(_NUMBER, min_size=2, max_size=2), max_size=4) | _JSON
+_COMPONENT = st.fixed_dictionaries({"weight": _NUMBER, "amplitudes": _PAIRS}) | _JSON
+# Near-valid documents, one per kind with its payload field, so that every
+# payload parser is reached.
+_DOC = st.one_of(*[
+    st.fixed_dictionaries({"dim": st.just(2) | st.integers(1, 3), "kind": st.just(kind),
+                           field: payload | _JSON})
+    for kind, field, payload in [
+        ("pure", "amplitudes", _PAIRS),
+        ("density", "matrix", _PAIRS),
+        ("bloch", "bloch", st.lists(_NUMBER, min_size=3, max_size=3)),
+        ("mixture", "mixture", st.lists(_COMPONENT, min_size=1, max_size=2)),
+    ]
+])
+# Valid files as the save helpers write them, and the same files with one
+# field replaced by any JSON value.
+_VALID = st.builds(
+    lambda d, seed: density_state_dict(random_mixed(d, 1 + seed % d, seed)),
+    st.integers(2, 4), st.integers(0, 2**16),
+) | st.builds(lambda seed: bloch_state_dict(state_to_bloch(random_mixed(2, 1 + seed % 2, seed))),
+              st.integers(0, 2**16))
+_MUTATED = st.builds(lambda doc, key, value: {**doc, key: value},
+                     _VALID, st.sampled_from(["dim", "kind", "matrix", "bloch"]), _JSON)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(_VALID, _MUTATED, _DOC, _JSON))
+# Finite entries whose arithmetic overflows: random draws rarely reach them.
+@example({"dim": 2, "kind": "density", "matrix": [[1e308, 0], [1e308, 0], [-1e308, 0], [0, 0]]})
+@example({"dim": 2, "kind": "pure", "amplitudes": [[1e308, 1e308], [1e308, 1e308]]})
+@example({"dim": 2, "kind": "bloch", "bloch": [1e308, 0, 0]})
+@example({"dim": 2, "kind": "mixture", "mixture": [
+    {"weight": 1e308, "amplitudes": [[1, 0], [0, 0]]},
+    {"weight": 1e308, "amplitudes": [[0, 0], [1, 0]]}]})
+def test_any_json_gives_a_valid_state_or_state_file_error(doc):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the renormalization notice
+            state = state_from_dict(doc)
+    except StateFileError:
+        return
+    rho = state.rho
+    assert np.isfinite(rho).all()
+    assert np.abs(rho - rho.conj().T).max() <= 1e-12 * state.dim
+    assert abs(np.trace(rho) - 1.0) <= 1e-8
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-10
