@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DensityState, check_dim, psd_sqrt
+from .matcore import DensityState, _as_square, check_dim, psd_sqrt
 from .weyl import weyl_coefficient_table, weyl_expand
 
 SOURCE_STATE = "state"
@@ -43,9 +43,7 @@ class CharTable:
     source: str
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"expected a square table, got shape {v.shape}")
+        v = _as_square(self.values)
         d = check_dim(v.shape[0])
         if self.source not in (SOURCE_STATE, SOURCE_SQRT_STATE, SOURCE_GENERIC):
             raise ValueError(f"unknown source tag {self.source!r}")

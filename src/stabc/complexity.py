@@ -75,10 +75,6 @@ def jordan_lie_terms(rho: DensityState, idx: WeylIndex | tuple[int, int]) -> tup
         k, l = (int(idx[0]), int(idx[1]))
     s = psd_sqrt(rho)
     dkl = weyl_matrix(rho.dim, k, l)
-    return _jordan_lie_from_parts(s, dkl)
-
-
-def _jordan_lie_from_parts(s: np.ndarray, dkl: np.ndarray) -> tuple[float, float]:
     ds = dkl @ s
     sd = s @ dkl
     # tr((DS)^dag (SD)) = conj(tr(S D S D^dag)); only the real part enters.

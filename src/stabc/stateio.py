@@ -9,7 +9,8 @@ literals) for cross-language portability:
     {"dim": d, "kind": "mixture", "mixture": [{"weight": w, "amplitudes": [...]}, ...]}
 
 Loading validates the schema and the state invariants and raises
-:class:`StateFileError` naming the violated invariant.  Pure amplitude
+:class:`StateFileError` naming the violated invariant; strings, booleans
+and objects where numbers belong are refused, not coerced.  Pure amplitude
 vectors with a norm defect in (1e-8, 1e-4] are renormalized with a warning;
 larger defects are rejected.
 """
@@ -33,12 +34,23 @@ _NORM_WARN_TOL = 1e-4
 _WEIGHT_TOL = 1e-8
 
 
-def _pairs_to_complex(pairs, what: str) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise StateFileError(f"{what} must be a list of [re, im] pairs")
+def _numbers(values, what: str) -> np.ndarray:
+    """A JSON array of finite numbers as a float array.
+
+    Entries must be exactly int or float: numpy would read "1" and true as 1.0.
+    """
+    if not isinstance(values, list) or not all(type(x) in (int, float) for x in values):
+        raise StateFileError(f"{what} must be a JSON array of numbers")
+    arr = np.array(values, dtype=float)
     if not np.isfinite(arr).all():
         raise StateFileError(f"{what} has non-finite entries")
+    return arr
+
+
+def _pairs_to_complex(pairs, what: str) -> np.ndarray:
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise StateFileError(f"{what} must be a list of [re, im] pairs")
+    arr = _numbers([x for p in pairs for x in p], what).reshape(-1, 2)
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -73,11 +85,9 @@ def state_from_dict(doc: dict) -> DensityState:
     """
     if not isinstance(doc, dict):
         raise StateFileError("state file must contain a JSON object")
-    try:
-        d = int(doc["dim"])
-        kind = doc["kind"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise StateFileError(f"state file needs integer 'dim' and string 'kind': {exc}") from exc
+    d, kind = doc.get("dim"), doc.get("kind")
+    if type(d) is not int:  # not bool, which is an int subclass
+        raise StateFileError(f"state file needs a JSON integer 'dim', got {type(d).__name__}")
     if kind not in KINDS:
         raise StateFileError(f"unknown kind {kind!r}, expected one of {KINDS}")
 
@@ -93,14 +103,14 @@ def state_from_dict(doc: dict) -> DensityState:
             if kind == "bloch":
                 if d != 2:
                     raise StateFileError(f"bloch payload requires dim = 2, got {d}")
-                triple = [float(x) for x in doc["bloch"]]
-                if len(triple) != 3:
+                triple = _numbers(doc["bloch"], "bloch payload")
+                if triple.size != 3:
                     raise StateFileError("bloch payload must have exactly 3 components")
-                return bloch_to_state(BlochVector(*triple))
+                return bloch_to_state(BlochVector(*triple.tolist()))
             components = doc["mixture"]
             if not isinstance(components, list) or not components:
                 raise StateFileError("mixture payload must be a non-empty list")
-            weights = np.array([float(c["weight"]) for c in components])
+            weights = _numbers([c["weight"] for c in components], "mixture weights")
             if np.any(weights < 0):
                 raise StateFileError("mixture weights must be nonnegative")
             if abs(float(weights.sum()) - 1.0) > _WEIGHT_TOL:

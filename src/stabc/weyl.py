@@ -16,6 +16,10 @@ exponents of tau modulo 2d, so group relations hold exactly:
 with (k', l') the reduced index.  When no index reduction occurs the exponent
 collapses to the familiar l s - k t; the extra term is the reduction
 correction, which matters for even d where tau^d = -1.
+
+Each D(k, l) has one nonzero per column, at row (j + k) mod d.  Coefficient
+tables read that support directly and the basis check walks it one shift k
+at a time, so nothing here holds all d^2 operators at once.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, NotUnitaryError
-from .matcore import check_dim, hs_norm
+from .matcore import _as_square, check_dim, hs_norm
 
 UNITARY_TOL = 1e-10
 # Overlap modulus within this (times d) of d detects proportionality to a
@@ -91,20 +95,6 @@ def weyl_matrix(d: int, k: int, l: int) -> np.ndarray:
     return m
 
 
-def weyl_stack(d: int) -> np.ndarray:
-    """All d^2 displacement matrices as an array indexed [k, l].
-
-    Filled in place from :func:`weyl_matrix`, the one writer of D(k, l)
-    entries; at d = 64 the stack alone is 268 MB, so no second copy is made.
-    """
-    d = check_dim(d)
-    stack = np.empty((d, d, d, d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            stack[k, l] = weyl_matrix(d, k, l)
-    return stack
-
-
 def weyl_coefficient_table(a: np.ndarray) -> np.ndarray:
     """Table of tr(D(k, l) A) over all (k, l), without materializing operators.
 
@@ -136,7 +126,8 @@ def _table_constants(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     flat[k, j] is the flat index of A[j, (j+k) mod d], fourier[j, l] =
     omega^(jl) and phase[k, l] = tau^(kl).  They depend on d alone and cost
-    more than the table itself at small d, so they are built once per d.
+    more than the table itself at small d, so they are built once per d and
+    shared with :func:`weyl_expand` and :func:`fourier_gate`.
     """
     j = np.arange(d)
     kl = np.outer(j, j)
@@ -157,18 +148,15 @@ def weyl_expand(coefficients: np.ndarray) -> np.ndarray:
     for Hermitian A this coincides with the conjugate-coefficient expansion
     (1/d) sum c* D, and for general A the round trip is still exact.
     """
-    c = np.asarray(coefficients, dtype=complex)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"expected a square coefficient table, got shape {c.shape}")
+    c = _as_square(coefficients)
     d = check_dim(c.shape[0])
+    _, fourier, phase = _table_constants(d)
     j = np.arange(d)
     rev = (d - j) % d
-    kl = np.outer(j, j)
     # D(k,l) D(-k,-l) = tau^e 1 with e = k l + (-k)(-l) + 2 l (-k) mod 2d.
-    e = (kl + np.outer(rev, rev) + 2 * np.outer(j, rev).T) % (2 * d)
+    e = (np.outer(j, j) + np.outer(rev, rev) + 2 * np.outer(j, rev).T) % (2 * d)
     adjoint = tau_power(d, -e) * c[np.ix_(rev, rev)]  # [k, l] = tr(D(k,l)^dag A)
-    fourier = np.exp(2j * np.pi * np.outer(j, j) / d)
-    h = (adjoint * tau_power(d, kl)) @ fourier / d  # [k, j]
+    h = (adjoint * phase) @ fourier / d  # [k, j]
     out = np.empty((d, d), dtype=complex)
     out[(j[:, None] + j[None, :]) % d, j[None, :]] = h
     return out
@@ -186,11 +174,25 @@ def weyl_product_phase(a: WeylIndex, b: WeylIndex) -> tuple[PhaseExponent, WeylI
 
 
 def weyl_basis_check(d: int) -> bool:
-    """True iff tr(D(k,l) D(s,t)^dag) = d delta delta over all d^4 index pairs."""
+    """True iff tr(D(k,l) D(s,t)^dag) = d delta_ks delta_lt over all d^4 index pairs.
+
+    Checked one shift k at a time on the matrices :func:`weyl_matrix` writes.
+    Each D(k, l) must have its d nonzeros at rows (j + k) mod d of columns j
+    and none elsewhere, so operators of different shifts have disjoint
+    supports.  Within a shift the traces form the Gram matrix of the phase
+    vectors D(k, l)[(j + k) mod d, j], which must be d times the identity;
+    a NaN entry fails the comparison.
+    """
     d = check_dim(d)
-    flat = weyl_stack(d).reshape(d * d, d * d)
-    gram = flat @ flat.conj().T
-    return float(np.abs(gram - d * np.eye(d * d)).max()) <= 1e-10 * d
+    j = np.arange(d)
+    for k in range(d):
+        ops = np.array([weyl_matrix(d, k, l) for l in range(d)])
+        phases = ops[:, (j + k) % d, j]  # [l, j]
+        if np.count_nonzero(ops) != d * d or np.count_nonzero(phases) != d * d:
+            return False
+        if not float(np.abs(phases @ phases.conj().T - d * np.eye(d)).max()) <= 1e-10 * d:
+            return False
+    return True
 
 
 def fourier_gate(d: int) -> np.ndarray:
@@ -201,8 +203,7 @@ def fourier_gate(d: int) -> np.ndarray:
     always succeeds on it.
     """
     d = check_dim(d)
-    j = np.arange(d)
-    return np.exp(2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
+    return _table_constants(d)[1] / np.sqrt(d)
 
 
 def _snap_phase(d: int, measured: complex) -> PhaseExponent | None:

@@ -19,6 +19,11 @@ def naive_weyl_matrix(d: int, k: int, l: int) -> np.ndarray:
     return tau ** (k * l) * np.linalg.matrix_power(x, k) @ np.linalg.matrix_power(z, l)
 
 
+def naive_weyl_stack(d: int) -> np.ndarray:
+    """All d^2 operators of :func:`naive_weyl_matrix`, indexed [k, l]."""
+    return np.array([[naive_weyl_matrix(d, k, l) for l in range(d)] for k in range(d)])
+
+
 def naive_char_table(a: np.ndarray) -> np.ndarray:
     """tr(D(k,l) A) by explicit operator construction and np.trace."""
     d = a.shape[0]

@@ -8,6 +8,7 @@ for the CLI flavor of the same checks).
 import numpy as np
 import pytest
 from dataclasses import replace
+from helpers import naive_weyl_stack
 
 from stabc import (
     DensityState,
@@ -40,7 +41,6 @@ from stabc import (
     weyl_basis_check,
     weyl_matrix,
     weyl_product_phase,
-    weyl_stack,
     WeylIndex,
 )
 
@@ -276,7 +276,7 @@ def test_criterion_13_weyl_algebra():
         state = random_mixed(d, d, rng)
         base = complexity_by_moments(state)
         phases = np.exp(2j * np.pi * rng.uniform(size=(d, d)))
-        table = np.einsum("klij,ji->kl", weyl_stack(d), psd_sqrt(state)) * phases
+        table = np.einsum("klij,ji->kl", naive_weyl_stack(d), psd_sqrt(state)) * phases
         rephased = d * d - float(np.sum(np.abs(table) ** 4))
         assert abs(rephased - base) <= 1e-12
     _announce("criterion-13-weyl-algebra",

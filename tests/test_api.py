@@ -1,7 +1,7 @@
 import stabc
 from stabc import charfun, weyl
 
-PRUNED = ("WeylOperator", "is_clifford", "omega", "weyl_op")
+PRUNED = ("WeylOperator", "is_clifford", "omega", "weyl_op", "weyl_stack")
 
 
 def test_all_is_sorted_unique_and_resolves():

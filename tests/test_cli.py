@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +99,12 @@ def test_compute_rejects_non_finite_file(tmp_path, capsys, doc):
     {"dim": 2, "kind": "mixture", "mixture": [[1, 0]]},
     {"dim": 2, "kind": "mixture", "mixture": [{"weight": None, "amplitudes": [[1, 0], [0, 0]]}]},
     {"dim": 2, "kind": "pure", "amplitudes": {"re": 1}},
+    {"dim": 2, "kind": "bloch", "bloch": "000"},
+    {"dim": 2, "kind": "bloch", "bloch": {"0": 1, "0.5": 2, "0.25": 3}},
+    {"dim": 2, "kind": "pure", "amplitudes": [["1", "0"], ["0", "0"]]},
+    {"dim": 2, "kind": "pure", "amplitudes": [[True, False], [False, False]]},
+    {"dim": "2", "kind": "bloch", "bloch": [0, 0, 1]},
+    {"dim": 2.7, "kind": "pure", "amplitudes": [[1, 0], [0, 0]]},
 ])
 def test_compute_rejects_malformed_file(tmp_path, capsys, doc):
     code, out, err = run_cli(capsys, "compute", write_state(tmp_path, doc))
@@ -119,6 +126,16 @@ def test_verify_convexity_d3_reports_witness(capsys):
     assert code == 0
     assert "convexity-witness-found-d3" in out
     assert "5.5609" in out and "5.5528" in out
+
+
+def test_verify_weyl_matches_golden_output(capsys):
+    # Written by `stabc verify weyl --d 2 3 4 5 7 16 64 --seed 0` while the
+    # basis check still built the full (d, d, d, d) operator stack.
+    golden = (Path(__file__).parent / "golden" / "verify_weyl_seed0.txt").read_text()
+    code, out, _ = run_cli(capsys, "verify", "weyl", "--d", "2", "3", "4", "5", "7", "16", "64",
+                           "--seed", "0")
+    assert code == 0
+    assert out == golden
 
 
 def test_verify_unknown_suite_exits_2(capsys):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import naive_jordan_lie, naive_weyl_matrix
+from helpers import naive_jordan_lie, naive_weyl_matrix, naive_weyl_stack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +39,6 @@ from stabc import (
     rho_p_second_derivative,
     rho_p_state,
     weyl_matrix,
-    weyl_stack,
 )
 
 T_STATE = bloch_to_state(BlochVector(*(np.ones(3) / np.sqrt(3))))
@@ -437,7 +436,7 @@ def test_phase_convention_independence(d):
     rng = np.random.default_rng(d + 30)
     state = random_mixed(d, d, rng)
     base = complexity_by_moments(state)
-    ops = weyl_stack(d)
+    ops = naive_weyl_stack(d)
     phases = np.exp(2j * np.pi * rng.uniform(size=(d, d)))
     table = np.einsum("klij,ji->kl", ops, psd_sqrt(state)) * phases
     rephased = d * d - float(np.sum(np.abs(table) ** 4))

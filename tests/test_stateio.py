@@ -1,5 +1,6 @@
 import json
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -178,3 +179,51 @@ def test_any_json_gives_a_valid_state_or_state_file_error(doc):
     assert np.abs(rho - rho.conj().T).max() <= 1e-12 * state.dim
     assert abs(np.trace(rho) - 1.0) <= 1e-8
     assert np.linalg.eigvalsh(rho)[0] >= -1e-10
+
+
+# JSON values of the wrong type for a number or an array of numbers: numpy
+# would read "1" and true as 1.0, and iterating a string or an object walks
+# its characters or keys.
+_WRONG_TYPE = (st.booleans() | st.text(max_size=3) | st.sampled_from(["1", "0", "0.5", "2"])
+               | st.dictionaries(st.sampled_from(["0", "0.5", "1", "re"]), _NUMBER,
+                                 min_size=1, max_size=3))
+_PURE = st.builds(
+    lambda d, seed: pure_state_dict(np.linalg.eigh(random_mixed(d, 1, seed).rho)[1][:, -1]),
+    st.integers(2, 4), st.integers(0, 2**16),
+)
+_MIXTURE = _PURE.map(lambda doc: {"dim": doc["dim"], "kind": "mixture", "mixture": [
+    {"weight": 0.25, "amplitudes": doc["amplitudes"]},
+    {"weight": 0.75, "amplitudes": [[1, 0]] + [[0, 0]] * (doc["dim"] - 1)}]})
+
+
+def _slots(value, path=()):
+    """Paths to every value below the root of a state file, except 'kind'."""
+    items = enumerate(value) if isinstance(value, list) else value.items()
+    for key, child in items:
+        if path + (key,) != ("kind",):
+            yield path + (key,)
+            if isinstance(child, (list, dict)):
+                yield from _slots(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    reduce(lambda node, key: node[key], path[:-1], doc)[path[-1]] = value
+    return doc
+
+
+_WRONGLY_TYPED = st.one_of(_VALID, _PURE, _MIXTURE).flatmap(
+    lambda doc: st.builds(_replaced, st.just(doc), st.sampled_from(list(_slots(doc))), _WRONG_TYPE))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_WRONGLY_TYPED)
+@example({"dim": 2, "kind": "bloch", "bloch": "000"})
+@example({"dim": 2, "kind": "bloch", "bloch": {"0": 1, "0.5": 2, "0.25": 3}})
+@example({"dim": 2, "kind": "pure", "amplitudes": [["1", "0"], ["0", "0"]]})
+@example({"dim": 2, "kind": "pure", "amplitudes": [[True, False], [False, False]]})
+@example({"dim": "2", "kind": "bloch", "bloch": [0, 0, 1]})
+@example({"dim": 2.7, "kind": "pure", "amplitudes": [[1, 0], [0, 0]]})
+def test_wrong_json_types_are_rejected(doc):
+    with pytest.raises(StateFileError):
+        state_from_dict(doc)

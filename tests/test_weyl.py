@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import naive_weyl_matrix
@@ -18,8 +20,9 @@ from stabc import (
     weyl_coefficient_table,
     weyl_matrix,
     weyl_product_phase,
-    weyl_stack,
 )
+from stabc import verify, weyl
+from stabc.cli import main
 from stabc.states import SIGMA_Y
 
 
@@ -136,6 +139,53 @@ def test_basis_orthogonality(d):
     assert weyl_basis_check(d)
 
 
+def _wrong_phase(m, d):
+    m[1, 0] *= 1j
+
+
+def _stray_entry(m, d):
+    m[0, 0] = 1e-3  # row 0 is off the support of column 0 for shift 1
+
+
+def _wrong_row(m, d):
+    m[2 % d, 0], m[1, 0] = m[1, 0], 0
+
+
+def _nan_entry(m, d):
+    m[1, 0] = np.nan
+
+
+@pytest.mark.parametrize("defect", [_wrong_phase, _stray_entry, _wrong_row, _nan_entry])
+def test_basis_check_sees_one_bad_entry(monkeypatch, capsys, defect):
+    writer = weyl.weyl_matrix
+
+    def damaged(d, k, l):
+        m = writer(d, k, l)
+        if (k, l) == (1, 1):
+            defect(m, d)
+        return m
+
+    monkeypatch.setattr(weyl, "weyl_matrix", damaged)
+    for d in (2, 3, 4, 7):
+        assert not weyl_basis_check(d)
+    assert main(["verify", "weyl", "--d", "3"]) == 1
+    failed = [line.split()[1] for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert failed == ["weyl-basis-orthogonality-d3"]
+
+
+def test_weyl_suite_holds_no_operator_stack():
+    # The d = 64 suite once held all d^2 operators (268 MB) and their
+    # 4096 x 4096 Gram matrix, with a traced peak above 900 MiB.
+    tracemalloc.start()
+    try:
+        rows = verify.suite_weyl(dims=[64], seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in rows)
+    assert peak < 64 * 2**20
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
 @pytest.mark.parametrize("lead", [(7,), (2, 3)])
 def test_coefficient_table_of_a_stack_matches_per_matrix(d, lead):
@@ -152,15 +202,6 @@ def test_coefficient_table_of_a_stack_matches_per_matrix(d, lead):
 def test_coefficient_table_rejects_non_square(shape):
     with pytest.raises(ValueError):
         weyl_coefficient_table(np.zeros(shape))
-
-
-def test_weyl_stack_matches_naive_construction():
-    for d in (2, 3, 4, 5, 7):
-        stack = weyl_stack(d)
-        assert stack.shape == (d, d, d, d)
-        for k in range(d):
-            for l in range(d):
-                assert np.abs(stack[k, l] - naive_weyl_matrix(d, k, l)).max() <= 1e-13
 
 
 def test_phase_exponent_normalization():
