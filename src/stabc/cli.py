@@ -203,6 +203,8 @@ def cmd_extremal(args) -> int:
 
 def cmd_sample(args) -> int:
     d = args.d[0] if args.d else 2
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 100]))
     docs = []
     for _ in range(args.samples):

@@ -39,7 +39,7 @@ from .matcore import (
     psd_sqrt,
 )
 from .states import BlochVector
-from .weyl import WeylIndex, weyl_coefficient_table, weyl_matrix
+from .weyl import WeylIndex, weyl_coefficient_table
 
 _CROSS_CHECK_TOL = 1e-10
 _TRADEOFF_TOL = 1e-10
@@ -64,29 +64,15 @@ def pure_complexity_floor(d: int) -> float:
 def jordan_lie_terms(rho: DensityState, idx: WeylIndex | tuple[int, int]) -> tuple[float, float]:
     """Anticommutator and commutator strengths (J, I) at one phase-space point.
 
-    Evaluates both the trace form and the Hilbert-Schmidt-norm form and
-    raises if they disagree beyond 1e-10, so every call is self-checking.
+    One entry of the full definition-route tables, so the trace/norm and
+    root-Hermiticity checks of :func:`_definition_tables` cover the call.
     """
-    if isinstance(idx, WeylIndex):
-        if idx.dim != rho.dim:
-            raise ValueError(f"index dimension {idx.dim} does not match state dimension {rho.dim}")
-        k, l = idx.k, idx.l
-    else:
-        k, l = (int(idx[0]), int(idx[1]))
-    s = psd_sqrt(rho)
-    dkl = weyl_matrix(rho.dim, k, l)
-    ds = dkl @ s
-    sd = s @ dkl
-    # tr((DS)^dag (SD)) = conj(tr(S D S D^dag)); only the real part enters.
-    cross = complex(np.vdot(ds, sd)).real
-    j_trace, i_trace = 1.0 + cross, 1.0 - cross
-    j_norm = 0.5 * hs_norm(ds + sd) ** 2
-    i_norm = 0.5 * hs_norm(ds - sd) ** 2
-    if not max(abs(j_trace - j_norm), abs(i_trace - i_norm)) <= _CROSS_CHECK_TOL:
-        raise ArithmeticError(
-            f"trace/norm cross-check failed: J {j_trace} vs {j_norm}, I {i_trace} vs {i_norm}"
-        )
-    return j_trace, i_trace
+    if not isinstance(idx, WeylIndex):
+        idx = WeylIndex(int(idx[0]), int(idx[1]), rho.dim)
+    if idx.dim != rho.dim:
+        raise ValueError(f"index dimension {idx.dim} does not match state dimension {rho.dim}")
+    jordan, lie = _definition_tables(rho)
+    return float(jordan[idx.k, idx.l]), float(lie[idx.k, idx.l])
 
 
 def _definition_tables(rho: DensityState) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +91,7 @@ def _definition_tables(rho: DensityState) -> tuple[np.ndarray, np.ndarray]:
         <DS, SD> = sum_n omega^(ln) sum_a conj(S[a-k, a-k+n]) S[a, a+n],
 
     which does not assume Hermiticity, and every point is cross-checked
-    against the trace form as in the single-point evaluation.
+    against the trace form.
     """
     d = rho.dim
     s = psd_sqrt(rho)
@@ -401,6 +387,8 @@ class ConvexityViolation:
 
 
 _WITNESS_INDEX = -1
+_CONVEXITY_TOL = 1e-9
+_SCAN_CHUNK = 32768
 
 
 def convexity_witness_states(d: int) -> tuple[DensityState, DensityState, float]:
@@ -414,40 +402,32 @@ def convexity_witness_states(d: int) -> tuple[DensityState, DensityState, float]
     return rho_p_state(fam), rho_p_state(replace(fam, p=1.0)), 0.5
 
 
-def convexity_scan(
-    d: int,
-    samples: int,
-    seed,
-    *,
-    include_witness: bool = True,
-    tolerance: float = 1e-9,
-    chunk: int = 32768,
-) -> list[ConvexityViolation]:
+def convexity_scan(d: int, samples: int, seed) -> list[ConvexityViolation]:
     """Search random mixtures for convexity violations of the complexity.
 
-    Draws ``samples`` triples (rho_1, rho_2, lambda) with ranks uniform on
+    First evaluates the deterministic witness of
+    :func:`convexity_witness_states` and records it with index -1 if it
+    violates convexity, which it does for every d >= 3.  Then draws
+    ``samples`` triples (rho_1, rho_2, lambda) with ranks uniform on
     {1, .., d} and lambda uniform on (0, 1), and records every case with
-    C(lam rho_1 + (1-lam) rho_2) > lam C(rho_1) + (1-lam) C(rho_2) + tolerance.
-    Results are ordered by sample index; the deterministic witness (recorded
-    with index -1) is evaluated first when requested.  For d = 2 the expected
-    outcome is an empty list.
+    C(lam rho_1 + (1-lam) rho_2) > lam C(rho_1) + (1-lam) C(rho_2) + 1e-9,
+    in sample order.  For d = 2 the expected outcome is an empty list.
     """
     d = check_dim(d)
     samples = int(samples)
     rng = np.random.default_rng(seed)
     violations: list[ConvexityViolation] = []
 
-    if include_witness:
-        rho_a, rho_b, lam = convexity_witness_states(d)
-        mixture = DensityState(lam * rho_a.rho + (1 - lam) * rho_b.rho, check=False)
-        c_mix = complexity_by_moments(mixture)
-        c_avg = lam * complexity_by_moments(rho_a) + (1 - lam) * complexity_by_moments(rho_b)
-        if c_mix > c_avg + tolerance:
-            violations.append(ConvexityViolation(_WITNESS_INDEX, lam, c_mix, c_avg))
+    rho_a, rho_b, lam = convexity_witness_states(d)
+    mixture = DensityState(lam * rho_a.rho + (1 - lam) * rho_b.rho, check=False)
+    c_mix = complexity_by_moments(mixture)
+    c_avg = lam * complexity_by_moments(rho_a) + (1 - lam) * complexity_by_moments(rho_b)
+    if c_mix > c_avg + _CONVEXITY_TOL:
+        violations.append(ConvexityViolation(_WITNESS_INDEX, lam, c_mix, c_avg))
 
     done = 0
     while done < samples:
-        n = min(chunk, samples - done)
+        n = min(_SCAN_CHUNK, samples - done)
         ranks_a = rng.integers(1, d + 1, size=n)
         ranks_b = rng.integers(1, d + 1, size=n)
         rho_a = _ginibre_density_batch(d, ranks_a, rng)
@@ -456,7 +436,7 @@ def convexity_scan(
         mixtures = lam[:, None, None] * rho_a + (1 - lam)[:, None, None] * rho_b
         c_mix = batch_complexity(mixtures)
         c_avg = lam * batch_complexity(rho_a) + (1 - lam) * batch_complexity(rho_b)
-        for i in np.flatnonzero(c_mix > c_avg + tolerance):
+        for i in np.flatnonzero(c_mix > c_avg + _CONVEXITY_TOL):
             violations.append(
                 ConvexityViolation(done + int(i), float(lam[i]), float(c_mix[i]), float(c_avg[i]))
             )

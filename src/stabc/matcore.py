@@ -63,12 +63,15 @@ def hermitian_eig(m: np.ndarray, *, tol: float = EIG_HERMITIAN_TOL) -> tuple[np.
 
     Returns eigenvalues in ascending order and the unitary matrix of
     eigenvectors (columns).  Raises :class:`NotHermitianError` when the
-    symmetry defect exceeds ``tol * d`` in Hilbert-Schmidt norm.
+    symmetry defect exceeds ``tol * d`` in Hilbert-Schmidt norm or any entry
+    is non-finite (``eigh`` would read past a NaN above the diagonal).
     """
     m = _as_square(m)
     d = m.shape[0]
+    if not np.isfinite(m).all():
+        raise NotHermitianError("matrix has non-finite entries")
     defect = hs_norm(m - m.conj().T)
-    if defect > tol * d:
+    if not defect <= tol * d:
         raise NotHermitianError(f"symmetry defect {defect:.3e} exceeds {tol * d:.3e}")
     w, v = np.linalg.eigh(m)
     return w, v
@@ -236,23 +239,23 @@ def _ginibre_density_batch(d: int, ranks: np.ndarray, rng: np.random.Generator) 
     return rhos / traces[:, None, None]
 
 
-def _batch_psd_sqrt(rhos: np.ndarray, *, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
+def _batch_psd_sqrt(rhos: np.ndarray) -> np.ndarray:
     """PSD square roots of a stack of Hermitian PSD matrices, shape (..., d, d).
 
     The one root kernel: :func:`psd_sqrt` calls it on a stack of one.  Reads
     the lower triangle of each matrix, as ``eigh`` does.  Every member obeys
-    the same policy: an eigenvalue below ``floor`` raises, and eigenvalues
+    the same policy: an eigenvalue below EIGENVALUE_FLOOR raises, and eigenvalues
     below SQRT_RANK_RCOND of the member's largest are zeroed.  d >= 3 uses
     one stacked ``eigh`` and rebuilds each root as one matrix product; d = 2
     uses the closed form S = (rho + sqrt(l+ l-) 1) / (sqrt(l+) + sqrt(l-)),
     which needs no eigenvectors.
     """
     if rhos.shape[-1] == 2:
-        return _qubit_psd_sqrt(rhos, floor)
+        return _qubit_psd_sqrt(rhos)
     w, v = np.linalg.eigh(rhos)
-    if float(w.min()) < floor:
+    if float(w.min()) < EIGENVALUE_FLOOR:
         raise NegativeEigenvalueError(
-            f"eigenvalue {w.min():.3e} below tolerated floor {floor:.1e}"
+            f"eigenvalue {w.min():.3e} below tolerated floor {EIGENVALUE_FLOOR:.1e}"
         )
     w = np.where(w < SQRT_RANK_RCOND * w[..., -1:], 0.0, w)
     scaled = v * np.sqrt(w)[..., None, :]
@@ -261,7 +264,7 @@ def _batch_psd_sqrt(rhos: np.ndarray, *, floor: float = EIGENVALUE_FLOOR) -> np.
     return scaled @ np.conjugate(v, out=v).swapaxes(-1, -2)
 
 
-def _qubit_psd_sqrt(rhos: np.ndarray, floor: float) -> np.ndarray:
+def _qubit_psd_sqrt(rhos: np.ndarray) -> np.ndarray:
     a = rhos[..., 0, 0].real
     c = rhos[..., 1, 1].real
     b = rhos[..., 1, 0]
@@ -270,9 +273,9 @@ def _qubit_psd_sqrt(rhos: np.ndarray, floor: float) -> np.ndarray:
     # det / l+ rather than tr - l+, which cancels for near-pure states; where
     # l+ <= 0 there is nothing to divide by and nothing to cancel.
     lam_minus = np.divide(a * c - b2, lam_plus, out=(a + c) - lam_plus, where=lam_plus > 0)
-    if float(lam_minus.min()) < floor:
+    if float(lam_minus.min()) < EIGENVALUE_FLOOR:
         raise NegativeEigenvalueError(
-            f"eigenvalue {lam_minus.min():.3e} below tolerated floor {floor:.1e}"
+            f"eigenvalue {lam_minus.min():.3e} below tolerated floor {EIGENVALUE_FLOOR:.1e}"
         )
     cut = SQRT_RANK_RCOND * lam_plus
     lam_minus = np.where(lam_minus < cut, 0.0, lam_minus)

@@ -173,8 +173,10 @@ def certify_fiducial(f: np.ndarray) -> tuple[bool, float]:
     """
     f = np.asarray(f, dtype=complex).reshape(-1)
     d = check_dim(f.size)
+    if not np.isfinite(f).all():
+        raise NotNormalizedError("fiducial candidate has non-finite entries")
     n = np.linalg.norm(f)
-    if abs(n - 1.0) > 1e-10:
+    if not abs(n - 1.0) <= 1e-10:
         raise NotNormalizedError(f"fiducial candidate has norm {n}, expected 1 within 1e-10")
     table = weyl_coefficient_table(np.outer(f, f.conj()))
     overlaps = np.abs(table) ** 2

@@ -24,7 +24,6 @@ from .complexity import (
     complexity_upper_bound,
     concavity_witness,
     convexity_scan,
-    convexity_witness_states,
     near_pure_curvature_offset,
     pure_complexity_floor,
     qubit_complexity,
@@ -359,13 +358,11 @@ def suite_convexity(dims=None, samples=None, seed=0) -> list[CheckResult]:
             results.append(CheckResult(f"convexity-violations-d{d}", float(count), 0.0,
                                        count == 0, f"{n} sampled mixtures"))
         else:
-            rho_a, rho_b, lam = convexity_witness_states(d)
-            mixture = DensityState(lam * rho_a.rho + (1 - lam) * rho_b.rho, check=False)
-            c_mix = complexity_by_moments(mixture)
-            c_avg = lam * complexity_by_moments(rho_a) + (1 - lam) * complexity_by_moments(rho_b)
-            results.append(CheckResult(
-                f"convexity-witness-found-d{d}", float(count), None, count >= 1,
-                f"witness mixture {c_mix:.4f} > average {c_avg:.4f} (+{n} random samples)"))
+            w = next((v for v in violations if v.index == -1), None)
+            found = (f"witness mixture {w.c_mixture:.4f} > average {w.c_average:.4f}"
+                     if w else "no witness")
+            results.append(CheckResult(f"convexity-witness-found-d{d}", float(count), None,
+                                       count >= 1, f"{found} (+{n} random samples)"))
     return results
 
 
@@ -427,12 +424,20 @@ SUITES = {
 
 
 def run_suites(names, dims=None, samples=None, seed=0) -> list[tuple[str, list[CheckResult]]]:
-    """Run the requested suites (or all of them) and collect their results."""
+    """Run the requested suites (or all of them) and collect their results.
+
+    Raises ValueError for a sample count below 1 and for a run that checks
+    nothing (say, the stabilizer suite at dimensions it does not cover).
+    """
     if not names or names == ["all"]:
         names = list(SUITES)
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     out = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
         out.append((name, SUITES[name](dims=dims, samples=samples, seed=seed)))
+    if not any(rows for _, rows in out):
+        raise ValueError(f"no checks apply to suites {', '.join(names)} at dimensions {dims}")
     return out

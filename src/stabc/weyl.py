@@ -231,8 +231,10 @@ def clifford_conjugation_table(
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NotUnitaryError(f"expected a square matrix, got shape {u.shape}")
     d = check_dim(u.shape[0])
+    if not np.isfinite(u).all():
+        raise NotUnitaryError("matrix has non-finite entries")
     defect = hs_norm(u.conj().T @ u - np.eye(d))
-    if defect > UNITARY_TOL * d:
+    if not defect <= UNITARY_TOL * d:
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL * d:.3e}")
 
     udag = u.conj().T

@@ -128,14 +128,44 @@ def test_verify_convexity_d3_reports_witness(capsys):
     assert "5.5609" in out and "5.5528" in out
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def test_verify_weyl_matches_golden_output(capsys):
     # Written by `stabc verify weyl --d 2 3 4 5 7 16 64 --seed 0` while the
     # basis check still built the full (d, d, d, d) operator stack.
-    golden = (Path(__file__).parent / "golden" / "verify_weyl_seed0.txt").read_text()
+    golden = (GOLDEN / "verify_weyl_seed0.txt").read_text()
     code, out, _ = run_cli(capsys, "verify", "weyl", "--d", "2", "3", "4", "5", "7", "16", "64",
                            "--seed", "0")
     assert code == 0
     assert out == golden
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["verify", "all", "--seed", "0"], "verify_all_seed0.txt"),
+    (["sweep", "--d", "3", "--steps", "101"], "sweep_d3_steps101.txt"),
+])
+def test_output_matches_golden_file(capsys, argv, golden):
+    # Written by these command lines while the convexity suite still
+    # re-evaluated its witness mixture; pins the text output byte for byte.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "dual-path", "--samples", "-1"],
+    ["verify", "dual-path", "--samples", "0"],
+    ["verify", "convexity", "--d", "2", "--samples", "-5"],
+    ["verify", "stabilizers", "--d", "17"],
+    ["sample", "--samples", "0"],
+    ["sample", "--samples", "-1"],
+])
+def test_run_that_checks_or_samples_nothing_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_verify_unknown_suite_exits_2(capsys):

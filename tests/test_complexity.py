@@ -77,6 +77,13 @@ def test_jordan_lie_basis_state_shift_point():
     assert i == pytest.approx(1.0, abs=1e-12)
 
 
+def test_jordan_lie_rejects_out_of_range_and_foreign_index():
+    state = random_mixed(3, 2, 1)
+    for idx in ((-1, 0), (3, 0), WeylIndex(0, 0, 2)):
+        with pytest.raises(ValueError):
+            jordan_lie_terms(state, idx)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_jordan_lie_matches_norm_oracle(d):
     rng = np.random.default_rng(d + 1)
@@ -385,6 +392,13 @@ def test_convexity_scan_finds_witness_d3():
 
 def test_convexity_scan_d2_clean():
     assert convexity_scan(2, 5000, 11) == []
+
+
+def test_convexity_scan_without_samples_records_only_the_witness():
+    # The convexity suite's note reads the index -1 record.
+    assert convexity_scan(2, 0, 5) == []
+    for d in range(3, 65):
+        assert [v.index for v in convexity_scan(d, 0, 5)] == [-1], d
 
 
 def test_self_mixture_never_violates():

@@ -44,6 +44,14 @@ def test_hermitian_eig_rejects_asymmetric():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+def test_hermitian_eig_rejects_nan_above_diagonal():
+    # eigh reads only the lower triangle and would return identity eigenpairs.
+    m = np.eye(3, dtype=complex)
+    m[0, 1] = np.nan
+    with pytest.raises(NotHermitianError):
+        hermitian_eig(m)
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
 def test_hermitian_eig_reconstruction_residual(d):
     rng = np.random.default_rng(d)

@@ -210,6 +210,11 @@ def test_certify_requires_unit_norm():
         certify_fiducial(np.array([1.0, 1.0]))
 
 
+def test_certify_rejects_non_finite():
+    with pytest.raises(NotNormalizedError):
+        certify_fiducial(np.array([np.nan, 0.0]))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_fiducial_orbit_is_equally_complex(d):
     fid = known_fiducial(d)

@@ -264,6 +264,11 @@ def test_conjugation_rejects_non_unitary():
         clifford_conjugation_table(np.ones((2, 2), dtype=complex))
 
 
+def test_conjugation_rejects_non_finite():
+    with pytest.raises(NotUnitaryError):
+        clifford_conjugation_table(np.full((2, 2), np.nan, dtype=complex))
+
+
 def test_weyl_index_validation():
     with pytest.raises(ValueError):
         WeylIndex(2, 0, 2)
