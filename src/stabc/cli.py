@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``compute`` (one state file -> JSON report), ``verify`` (named
-check suites), ``sweep`` (family sweeps to CSV/JSON), ``extremal``
+check suites), ``sweep`` (rho_p family sweep to CSV/JSON), ``extremal``
 (extremal-state summary for one dimension), ``sample`` (dump random states).
 
 Exit codes: 0 success, 1 at least one verification check failed, 2 input
-parsing or state validation failed.  The ``STABC_SEED`` environment variable
-supplies the default seed; ``--seed`` overrides it.  Identical command lines
+parsing or state validation failed, or an option would be ignored.  Only
+``verify`` and ``sample`` draw random numbers and take ``--seed`` (default:
+the ``STABC_SEED`` environment variable, else 0).  Identical command lines
 with identical seeds produce byte-identical output.
 """
 
@@ -30,18 +31,16 @@ from .complexity import (
     rho_p_state,
 )
 from .errors import NoKnownFiducialError, StateFileError
-from .matcore import DensityState, random_mixed, random_pure
+from .matcore import DensityState, random_mixed
 from .states import enumerate_stabilizer_states, known_fiducial
 from .stateio import density_state_dict, load_state, pure_state_dict, save_state
 from .verify import SUITES, run_suites
 
-DEFAULT_SEED = 0
 
-
-def _seed_default() -> int:
-    env = os.environ.get("STABC_SEED", "")
-    if not env:
-        return DEFAULT_SEED
+def _seed(args) -> int:
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("STABC_SEED") or "0"
     try:
         return int(env)
     except ValueError:
@@ -83,8 +82,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = [args.suite] if args.suite != "all" else ["all"]
-    suites = run_suites(names, dims=args.d or None, samples=args.samples, seed=args.seed)
+    suites = run_suites([args.suite], dims=args.d, samples=args.samples, seed=_seed(args))
     lines = []
     failed = 0
     for suite_name, rows in suites:
@@ -112,15 +110,12 @@ def _sweep_anchor(d: int, source: str) -> DensityState:
 
 
 def cmd_sweep(args) -> int:
-    if args.family != "rho-p":
-        raise StateFileError(f"unknown sweep family {args.family!r}; available: rho-p")
     if args.steps < 2:
-        raise StateFileError("sweep needs at least 2 steps")
-    d = args.d[0] if args.d else 3
+        raise ValueError(f"--steps must be at least 2, got {args.steps}")
+    d = args.d
     psi = _sweep_anchor(d, args.psi)
     if psi.dim != d:
         raise StateFileError(f"anchor state has dim {psi.dim}, sweep requested d={d}")
-    fam = RhoPFamily(psi, 0.0)
     c_psi = complexity_report(psi).c_value
 
     grid = np.linspace(0.0, 1.0, args.steps)
@@ -168,7 +163,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    d = args.d[0] if args.d else 2
+    d = args.d
     group = enumerate_stabilizer_states(d)
     c_values = [complexity_report(s).c_value for s in group.states]
     doc: dict = {
@@ -202,17 +197,19 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    d = args.d[0] if args.d else 2
+    d = args.d
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 100]))
+    if args.kind == "pure" and args.rank is not None:
+        raise ValueError("--rank applies to --kind mixed only")
+    rng = np.random.default_rng(np.random.SeedSequence([_seed(args), 100]))
     docs = []
     for _ in range(args.samples):
         if args.kind == "pure":
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             docs.append(pure_state_dict(v / np.linalg.norm(v)))
         else:
-            rank = args.rank if args.rank else int(rng.integers(1, d + 1))
+            rank = args.rank if args.rank is not None else int(rng.integers(1, d + 1))
             docs.append(density_state_dict(random_mixed(d, rank, rng)))
     if args.out:
         out_dir = Path(args.out)
@@ -232,9 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (default: STABC_SEED env var, else 0)")
+    def add_common(p, seeded=False):
+        if seeded:
+            p.add_argument("--seed", type=int, default=None,
+                           help="master seed (default: STABC_SEED env var, else 0)")
         p.add_argument("--out", type=str, default=None, help="write output to this path")
 
     p = sub.add_parser("compute", help="complexity report for one state file")
@@ -245,14 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", nargs="?", default="all", choices=[*SUITES, "all"])
-    p.add_argument("--d", type=int, nargs="*", default=None, help="dimensions to verify")
-    p.add_argument("--samples", type=int, default=None, help="sample count override")
-    add_common(p)
+    p.add_argument("--d", type=int, nargs="+", default=None, help="dimensions (one suite only)")
+    p.add_argument("--samples", type=int, default=None, help="sample count (one suite only)")
+    add_common(p, seeded=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", help="sweep a state family and emit CSV/JSON")
-    p.add_argument("--family", type=str, default="rho-p")
-    p.add_argument("--d", type=int, nargs="*", default=None)
+    p = sub.add_parser("sweep", help="sweep the rho_p mixing family and emit CSV/JSON")
+    p.add_argument("--d", type=int, default=3)
     p.add_argument("--psi", type=str, default="stabilizer",
                    help="anchor: 'stabilizer', 'fiducial', or a state-file path")
     p.add_argument("--steps", type=int, default=101)
@@ -261,16 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("extremal", help="extremal-state summary for one dimension")
-    p.add_argument("--d", type=int, nargs="*", default=None)
+    p.add_argument("--d", type=int, default=2)
     add_common(p)
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("sample", help="dump random states as JSON state files")
-    p.add_argument("--d", type=int, nargs="*", default=None)
+    p.add_argument("--d", type=int, default=2)
     p.add_argument("--kind", choices=("pure", "mixed"), default="pure")
     p.add_argument("--rank", type=int, default=None, help="rank for mixed states")
     p.add_argument("--samples", type=int, default=1)
-    add_common(p)
+    add_common(p, seeded=True)
     p.set_defaults(func=cmd_sample)
     return parser
 
@@ -278,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is None:
-            args.seed = _seed_default()
         return args.func(args)
     except (StateFileError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

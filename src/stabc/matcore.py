@@ -14,11 +14,12 @@ from .errors import DimensionMismatchError, NegativeEigenvalueError, NotHermitia
 # Hard dimension cap: every algorithm here is O(d^3)-O(d^4) dense.
 DIM_CAP = 64
 
-# Default tolerances.  Matrix-norm checks scale with dimension, scalar trace
-# checks are absolute; callers may override per call.
+# Tolerances.  Matrix-norm checks scale with dimension, scalar trace checks
+# are absolute.
 HERMITIAN_TOL = 1e-12
 EIG_HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-12
+PURITY_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-10
 SQRT_CONSISTENCY_TOL = 1e-9
 # Eigenvalues below this fraction of the largest one are rank-deficiency dust
@@ -58,21 +59,22 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def hermitian_eig(m: np.ndarray, *, tol: float = EIG_HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns eigenvalues in ascending order and the unitary matrix of
     eigenvectors (columns).  Raises :class:`NotHermitianError` when the
-    symmetry defect exceeds ``tol * d`` in Hilbert-Schmidt norm or any entry
-    is non-finite (``eigh`` would read past a NaN above the diagonal).
+    symmetry defect exceeds ``EIG_HERMITIAN_TOL * d`` in Hilbert-Schmidt
+    norm or any entry is non-finite (``eigh`` would read past a NaN above the
+    diagonal).
     """
     m = _as_square(m)
     d = m.shape[0]
     if not np.isfinite(m).all():
         raise NotHermitianError("matrix has non-finite entries")
     defect = hs_norm(m - m.conj().T)
-    if not defect <= tol * d:
-        raise NotHermitianError(f"symmetry defect {defect:.3e} exceeds {tol * d:.3e}")
+    if not defect <= EIG_HERMITIAN_TOL * d:
+        raise NotHermitianError(f"symmetry defect {defect:.3e} exceeds {EIG_HERMITIAN_TOL * d:.3e}")
     w, v = np.linalg.eigh(m)
     return w, v
 
@@ -121,17 +123,12 @@ class DensityState:
     def dim(self) -> int:
         return self._rho.shape[0]
 
-    @property
-    def sqrt(self) -> np.ndarray:
-        """Hermitian PSD square root, computed once and cached."""
-        return psd_sqrt(self)
-
     def purity(self) -> float:
         """tr(rho^2)."""
         return float(np.sum(np.abs(self._rho) ** 2))
 
-    def is_pure(self, tol: float = 1e-8) -> bool:
-        return self.purity() >= 1.0 - tol
+    def is_pure(self) -> bool:
+        return self.purity() >= 1.0 - PURITY_TOL
 
     @classmethod
     def pure(cls, vector: np.ndarray) -> "DensityState":

@@ -9,6 +9,7 @@ reproducible regardless of which other suites ran.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -51,14 +52,12 @@ from .weyl import (
     WeylIndex,
     clifford_conjugation_table,
     fourier_gate,
-    tau_power,
     weyl_basis_check,
     weyl_matrix,
     weyl_product_phase,
 )
 
 DEFAULT_DIMS = (2, 3, 4, 5)
-_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def _sample_states(d: int, n: int, rng: np.random.Generator) -> list[DensityStat
 # -- suites -------------------------------------------------------------------
 
 
-def suite_weyl(dims=None, samples=None, seed=0) -> list[CheckResult]:
+def suite_weyl(dims=None, seed=0) -> list[CheckResult]:
     dims = tuple(dims) if dims else (2, 3, 4, 5, 7)
     rng = _rng_for(seed, 1)
     results = []
@@ -284,6 +283,8 @@ def suite_complementarity(dims=None, samples=None, seed=0) -> list[CheckResult]:
 
 
 def suite_qubit(dims=None, samples=None, seed=0) -> list[CheckResult]:
+    if dims and set(dims) != {2}:
+        raise ValueError(f"the qubit suite covers d = 2 only, got dimensions {list(dims)}")
     n = int(samples) if samples else 1000
     rng = _rng_for(seed, 8)
     worst = 0.0
@@ -297,7 +298,7 @@ def suite_qubit(dims=None, samples=None, seed=0) -> list[CheckResult]:
     return [_leq("qubit-closed-form-gap", worst, 1e-9)]
 
 
-def suite_rho_p(dims=None, samples=None, seed=0) -> list[CheckResult]:
+def suite_rho_p(dims=None, seed=0) -> list[CheckResult]:
     dims = tuple(dims) if dims else DEFAULT_DIMS
     results = []
 
@@ -367,7 +368,7 @@ def suite_convexity(dims=None, samples=None, seed=0) -> list[CheckResult]:
 
 
 def suite_stabilizers(dims=None, samples=None, seed=0) -> list[CheckResult]:
-    dims = tuple(d for d in (dims or (2, 3, 5)) if d in _PRIMES)
+    dims = tuple(dims) if dims else (2, 3, 5)
     rng = _rng_for(seed, 10)
     results = []
     for d in dims:
@@ -385,9 +386,10 @@ def suite_stabilizers(dims=None, samples=None, seed=0) -> list[CheckResult]:
     return results
 
 
-def suite_fiducials(dims=None, samples=None, seed=0) -> list[CheckResult]:
+def suite_fiducials(dims=None, seed=0) -> list[CheckResult]:
+    dims = tuple(dims) if dims else (2, 3)
     results = []
-    for d in (2, 3):
+    for d in dims:
         fid = known_fiducial(d)
         results.append(_leq(f"fiducial-overlap-deviation-d{d}", fid.max_deviation, 1e-10))
         c = complexity_by_moments(fid.projector())
@@ -401,9 +403,10 @@ def suite_fiducials(dims=None, samples=None, seed=0) -> list[CheckResult]:
                 worst = max(worst, abs(complexity_by_moments(orbit) - c))
         results.append(_leq(f"fiducial-orbit-invariance-d{d}", worst, 1e-9))
 
-    _, basis_dev = certify_fiducial(np.array([1.0, 0.0], dtype=complex))
-    results.append(CheckResult("fiducial-basis-state-rejected-d2", basis_dev, None,
-                               basis_dev >= 0.5, "stabilizer state fails the overlap symmetry"))
+    if 2 in dims:
+        _, basis_dev = certify_fiducial(np.array([1.0, 0.0], dtype=complex))
+        results.append(CheckResult("fiducial-basis-state-rejected-d2", basis_dev, None,
+                                   basis_dev >= 0.5, "stabilizer state fails the overlap symmetry"))
     return results
 
 
@@ -426,18 +429,22 @@ SUITES = {
 def run_suites(names, dims=None, samples=None, seed=0) -> list[tuple[str, list[CheckResult]]]:
     """Run the requested suites (or all of them) and collect their results.
 
-    Raises ValueError for a sample count below 1 and for a run that checks
-    nothing (say, the stabilizer suite at dimensions it does not cover).
+    ``dims`` and ``samples`` override one named suite's defaults.  ValueError
+    refuses them with ``all``, samples below 1 or for a suite that draws none
+    (weyl, rho-p, fiducials), and dimensions a suite has no check for.
     """
     if not names or names == ["all"]:
         names = list(SUITES)
+    overrides = {k: v for k, v in (("dims", dims), ("samples", samples)) if v is not None}
+    if overrides and len(names) > 1:
+        raise ValueError("dimension and sample overrides need one named suite, not 'all'")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     out = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)} or 'all'")
-        out.append((name, SUITES[name](dims=dims, samples=samples, seed=seed)))
-    if not any(rows for _, rows in out):
-        raise ValueError(f"no checks apply to suites {', '.join(names)} at dimensions {dims}")
+        if overrides and not overrides.keys() <= inspect.signature(SUITES[name]).parameters.keys():
+            raise ValueError(f"suite {name!r} draws no samples to override")
+        out.append((name, SUITES[name](**overrides, seed=seed)))
     return out

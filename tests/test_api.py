@@ -1,5 +1,9 @@
+import ast
+import inspect
+from pathlib import Path
+
 import stabc
-from stabc import charfun, weyl
+from stabc import DensityState, charfun, hermitian_eig, weyl
 
 PRUNED = ("WeylOperator", "is_clifford", "omega", "weyl_op", "weyl_stack")
 
@@ -18,3 +22,36 @@ def test_pruned_names_are_not_exported():
         assert not hasattr(stabc, name)
         assert not hasattr(weyl, name)
     assert not hasattr(charfun.CharTable, "moduli")
+
+
+def test_one_value_keywords_are_constants():
+    assert "tol" not in inspect.signature(DensityState.is_pure).parameters
+    assert "tol" not in inspect.signature(hermitian_eig).parameters
+    assert not hasattr(DensityState, "sqrt")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_walk_flags_only_unused_names():
+    source = "import os\nimport numpy as np\nfrom .x import a, b\nprint(np.pi, a)\n"
+    assert _unused_imports(source) == ["os (line 1)", "b (line 3)"]
+
+
+def test_library_modules_have_no_unused_imports():
+    # __init__.py imports in order to re-export, so it is left out.
+    modules = sorted(Path(stabc.__file__).parent.glob("*.py"))
+    unused = {m.name: _unused_imports(m.read_text()) for m in modules if m.name != "__init__.py"}
+    assert len(unused) >= 8
+    assert not {name: found for name, found in unused.items() if found}

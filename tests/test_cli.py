@@ -1,11 +1,14 @@
+import argparse
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stabc.cli import main
+from stabc.cli import build_parser, main
+from stabc.errors import StateFileError
 from stabc.stateio import load_state
+from stabc.verify import run_suites
 
 
 def run_cli(capsys, *argv):
@@ -239,9 +242,11 @@ def test_sweep_fiducial_anchor(capsys):
 
 
 def test_sweep_rejects_bad_family(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--family", "other")
-    assert code == 2
-    assert "family" in err
+    # sweep has one family, so it takes no --family; argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--family", "other"])
+    assert exc.value.code == 2
+    assert "--family" in capsys.readouterr().err
 
 
 def test_extremal_d2(capsys):
@@ -309,3 +314,85 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["stabilizer_count"] == 6
+
+
+# Inputs that used to be accepted and then ignored in whole or in part; each
+# must exit 2.  True marks an argparse rejection (SystemExit(2)); the others
+# return 2 with an "error:" line.
+REFUSED = [
+    (["extremal", "--d", "3", "5"], True),
+    (["sweep", "--d", "2", "3", "--steps", "3"], True),
+    (["sample", "--d", "2", "5"], True),
+    (["sample", "--kind", "pure", "--rank", "2"], False),
+    (["compute", "{state}", "--seed", "1"], True),
+    (["extremal", "--d", "3", "--seed", "4"], True),
+    (["sweep", "--family", "rho-p", "--d", "2", "--steps", "2"], True),
+    (["verify", "stabilizers", "--d", "3", "4", "--samples", "10"], False),
+    (["verify", "fiducials", "--d", "5"], False),
+    (["verify", "qubit", "--d", "3"], False),
+    (["verify", "weyl", "--d", "2", "--samples", "3"], False),
+    (["verify", "rho-p", "--samples", "7"], False),
+    (["verify", "weyl", "--d"], True),
+    (["verify", "all", "--d", "4"], False),
+    (["verify", "all", "--samples", "5"], False),
+    (["sample", "--kind", "mixed", "--rank", "0"], False),
+]
+
+
+@pytest.mark.parametrize("argv, by_argparse", REFUSED, ids=[" ".join(a) for a, _ in REFUSED])
+def test_ignored_input_exits_2(tmp_path, capsys, argv, by_argparse):
+    state = write_state(tmp_path, T_STATE_DOC)
+    argv = [state if a == "{state}" else a for a in argv]
+    if by_argparse:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    else:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
+def test_sweep_steps_below_2_is_not_a_state_file_error():
+    args = build_parser().parse_args(["sweep", "--steps", "1"])
+    with pytest.raises(ValueError, match="--steps") as exc:
+        args.func(args)
+    assert not isinstance(exc.value, StateFileError)
+
+
+def test_verify_named_suite_emits_only_requested_dimensions(capsys):
+    code, out, _ = run_cli(capsys, "verify", "fiducials", "--d", "3")
+    assert code == 0
+    ids = [line.split()[1] for line in out.splitlines()[:-1]]
+    assert ids == ["fiducial-overlap-deviation-d3", "fiducial-ceiling-attainment-d3",
+                   "fiducial-orbit-invariance-d3"]
+    code, out, _ = run_cli(capsys, "verify", "qubit", "--d", "2", "--samples", "10")
+    assert code == 0 and out.endswith("1/1 checks passed\n")
+
+
+def test_run_suites_overrides_need_one_suite():
+    with pytest.raises(ValueError, match="one named suite"):
+        run_suites(["weyl", "qubit"], dims=[2])
+
+
+OPTIONS = {
+    "compute": ["input", "--tables", "--out"],
+    "verify": ["suite", "--d", "--samples", "--seed", "--out"],
+    "sweep": ["--d", "--psi", "--steps", "--format", "--out"],
+    "extremal": ["--d", "--out"],
+    "sample": ["--d", "--kind", "--rank", "--samples", "--seed", "--out"],
+}
+
+
+def test_option_surface_is_pinned():
+    # A new option needs a deliberate change here.
+    [sub] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: [a.option_strings[0] if a.option_strings else a.dest
+               for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        for name, p in sub.choices.items()
+    }
+    assert found == OPTIONS
+    assert sum(map(len, found.values())) == 21
