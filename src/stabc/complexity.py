@@ -12,9 +12,11 @@ satisfy I + J = 2 and multiply into the complexity
 
 Both routes are implemented and both cost O(d^3) after the one eigensolve
 for S: the moment route is the default (the square-root characteristic
-table), the definition route is the independent cross-checking oracle (the
-J/I tables from shifted diagonals of S, no operator matrices and no
-characteristic table).
+table), the definition route is the independent cross-checking oracle.  It
+writes the J/I tables as cyclic correlations of the diagonals of S and
+evaluates them by the correlation theorem: six d x d products with the
+Fourier matrix, no loop over the shift k, no operator matrices and no
+characteristic table.
 C is invariant under any per-operator phase change of the D(k, l) and under
 Clifford conjugation; it is bounded by 0 <= C <= d^2 - 2d/(d+1), with pure
 states confined to [d^2 - d, d^2 - 2d/(d+1)].
@@ -39,7 +41,7 @@ from .matcore import (
     psd_sqrt,
 )
 from .states import BlochVector
-from .weyl import WeylIndex, weyl_coefficient_table
+from .weyl import WeylIndex, _table_constants, weyl_coefficient_table
 
 _CROSS_CHECK_TOL = 1e-10
 _TRADEOFF_TOL = 1e-10
@@ -82,36 +84,38 @@ def _definition_tables(rho: DensityState) -> tuple[np.ndarray, np.ndarray]:
     (D S D^dag)[a, b] = omega^(l(a-b)) S[a-k, b-k], so
 
         Re tr(S D S D^dag) = Re sum_m omega^(lm) t[k, m],
-        t[k, m] = sum_b S[b, b+m] S[b+m-k, b-k],
+        t[k, m] = sum_b U[b, m] L[b-k, m],
 
-    the upper m-th diagonal of S against the lower m-th diagonal shifted
-    by k.  The norm form (1/2)||DS +- SD||^2 = ||S||^2 +- Re <DS, SD> is
-    expanded separately from the upper diagonals alone,
+    with U[b, m] = S[b, b+m] and L[b, m] = S[b+m, b] the upper and lower
+    m-th diagonals of S.  The norm form (1/2)||DS +- SD||^2 =
+    ||S||^2 +- Re <DS, SD> is expanded separately from the upper diagonals
+    alone,
 
-        <DS, SD> = sum_n omega^(ln) sum_a conj(S[a-k, a-k+n]) S[a, a+n],
+        <DS, SD> = sum_n omega^(ln) sum_a conj(U[a-k, n]) U[a, n],
 
     which does not assume Hermiticity, and every point is cross-checked
-    against the trace form.
+    against the trace form.  Both inner sums are cyclic correlations along
+    b, one column m at a time, so by the correlation theorem they are
+
+        t = F (conj(F) U * F L) / d,    sum_a conj(U[a-k, n]) U[a, n]
+          = F (conj(F) U * conj(conj(F) U)) / d,
+
+    with F[j, b] = omega^(jb) the cached, symmetric Fourier matrix and *
+    the entrywise product.  The outer sum over m is one more product with
+    F on the right: six d x d matrix products in all, and no loop over k.
     """
     d = rho.dim
     s = psd_sqrt(rho)
+    fourier = _table_constants(d)[1]  # [j, b] = omega^(jb), symmetric
     j = np.arange(d)
     cols = (j[:, None] + j[None, :]) % d
     upper = s[j[:, None], cols]  # [b, m] = S[b, b+m]
     lower = s[cols, j[:, None]]  # [b, m] = S[b+m, b]
-    # Doubled along b, so the shift b -> b-k is the view rows d-k .. 2d-k.
-    lower2 = np.concatenate([lower, lower])
-    upper_conj2 = np.concatenate([upper, upper]).conj()
-    trace_diag = np.empty((d, d), dtype=complex)
-    norm_diag = np.empty((d, d), dtype=complex)
-    for k in range(d):
-        trace_diag[k] = np.einsum("bm,bm->m", upper, lower2[d - k:2 * d - k])
-        norm_diag[k] = np.einsum("am,am->m", upper_conj2[d - k:2 * d - k], upper)
-    fourier = np.exp(2j * np.pi * np.outer(j, j) / d)  # [m, l] = omega^(lm)
-    cross = (trace_diag @ fourier).real
+    fu = fourier.conj() @ upper
+    cross = (fourier @ (fu * (fourier @ lower)) @ fourier).real / d
     jordan, lie = 1.0 + cross, 1.0 - cross
     norm_sq = hs_norm(s) ** 2
-    norm_cross = (norm_diag @ fourier).real
+    norm_cross = (fourier @ (fu * fu.conj()) @ fourier).real / d
     defect = max(
         float(np.abs(jordan - (norm_sq + norm_cross)).max()),
         float(np.abs(lie - (norm_sq - norm_cross)).max()),

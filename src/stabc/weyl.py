@@ -127,7 +127,8 @@ def _table_constants(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     flat[k, j] is the flat index of A[j, (j+k) mod d], fourier[j, l] =
     omega^(jl) and phase[k, l] = tau^(kl).  They depend on d alone and cost
     more than the table itself at small d, so they are built once per d and
-    shared with :func:`weyl_expand` and :func:`fourier_gate`.
+    shared with :func:`weyl_expand`, :func:`fourier_gate` and the
+    definition route of the complexity.
     """
     j = np.arange(d)
     kl = np.outer(j, j)

@@ -136,7 +136,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_verify_weyl_matches_golden_output(capsys):
     # Written by `stabc verify weyl --d 2 3 4 5 7 16 64 --seed 0` while the
-    # basis check still built the full (d, d, d, d) operator stack.
+    # basis check still built the full (d, d, d, d) operator stack; the d = 16
+    # and d = 64 notes, naming the law rows not run there, were added later.
     golden = (GOLDEN / "verify_weyl_seed0.txt").read_text()
     code, out, _ = run_cli(capsys, "verify", "weyl", "--d", "2", "3", "4", "5", "7", "16", "64",
                            "--seed", "0")

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -40,6 +41,7 @@ from stabc import (
     rho_p_state,
     weyl_matrix,
 )
+from stabc.complexity import _definition_tables
 
 T_STATE = bloch_to_state(BlochVector(*(np.ones(3) / np.sqrt(3))))
 
@@ -132,18 +134,45 @@ def test_dual_path_agreement_random(d):
 # -- the O(d^3) definition tables ----------------------------------------------
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+def _assert_tables_match_naive(state, points):
+    rep = complexity_report(state)
+    s = psd_sqrt(state)
+    for k, l in points:
+        oj, oi = naive_jordan_lie(s, naive_weyl_matrix(state.dim, k, l))
+        assert rep.jordan_table[k, l] == pytest.approx(oj, abs=1e-10)
+        assert rep.lie_table[k, l] == pytest.approx(oi, abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 9, 12])
 def test_definition_tables_match_naive_oracle(d):
     rng = np.random.default_rng(d + 11)
     for rank in sorted({1, 2, d}):
-        state = random_mixed(d, rank, rng)
-        rep = complexity_report(state)
-        s = psd_sqrt(state)
-        for k in range(d):
-            for l in range(d):
-                oj, oi = naive_jordan_lie(s, naive_weyl_matrix(d, k, l))
-                assert rep.jordan_table[k, l] == pytest.approx(oj, abs=1e-10)
-                assert rep.lie_table[k, l] == pytest.approx(oi, abs=1e-10)
+        _assert_tables_match_naive(random_mixed(d, rank, rng), np.ndindex(d, d))
+
+
+def test_definition_tables_match_naive_oracle_at_asymmetric_points_d64():
+    # C, the route gap and sweep min/max are all blind to a permutation of the
+    # tables such as (k, l) -> (-k, l) or a transpose; single points are not.
+    # (k, l) -> (-k, -l) is an exact symmetry, since D(-k,-l) ~ D(k,l)^dag.
+    d = 64
+    rng = np.random.default_rng(75)
+    points = [(1, 2), (2, 1), (d - 1, 1), (1, d - 1), (5, 17), (0, d - 1)]
+    for rank in (1, 2, d):
+        _assert_tables_match_naive(random_mixed(d, rank, rng), points)
+
+
+def test_definition_tables_allocate_no_large_temporaries():
+    # A d x d complex array is 64 KiB at d = 64; a 2d x d one reaches glibc's
+    # 128 KiB mmap threshold and faults in fresh pages on every call.
+    state = random_mixed(64, 64, 7)
+    _definition_tables(state)  # caches the root and the Fourier matrix
+    tracemalloc.start()
+    try:
+        _definition_tables(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 * 2**10
 
 
 def test_definition_cross_check_trips_on_non_hermitian_root():
