@@ -297,9 +297,11 @@ def rho_p_second_derivative(family: RhoPFamily, p0: float, step: float = 1e-4) -
     anchor's pure complexity is evaluated once via the moment route.
     """
     h = float(step)
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError(f"step must be positive, got {step}")
     p0 = float(p0)
+    if not np.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0}")
     c_psi = complexity_by_moments(family.psi)
 
     def f(p: float) -> float:

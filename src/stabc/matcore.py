@@ -80,12 +80,12 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class DensityState:
-    """A d-dimensional density operator with a lazily cached PSD square root.
+    """A d-dimensional density operator with a write-once cached PSD square root.
 
     The wrapped array must be finite; with ``check`` it is also validated
-    (Hermitian, unit trace, eigenvalues above the rounding floor).  It is
-    frozen; the square root is computed once on first access and frozen as
-    well, so instances are safe to share.
+    (Hermitian, unit trace) and its square root, whose floor check bounds the
+    eigenvalues, is computed at construction; otherwise on first access.  The
+    array and the root are frozen, so instances are safe to share.
     """
 
     __slots__ = ("_rho", "_sqrt")
@@ -106,14 +106,11 @@ class DensityState:
             tr = complex(np.trace(rho))
             if abs(tr - 1.0) > TRACE_TOL:
                 raise ValueError(f"trace {tr} is not 1 within {TRACE_TOL:.1e}")
-            wmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
-            if wmin < EIGENVALUE_FLOOR:
-                raise NegativeEigenvalueError(
-                    f"eigenvalue {wmin:.3e} below tolerated floor {EIGENVALUE_FLOOR:.1e}"
-                )
         rho.setflags(write=False)
         self._rho = rho
         self._sqrt = None
+        if check:
+            psd_sqrt(self)
 
     @property
     def rho(self) -> np.ndarray:
@@ -156,7 +153,8 @@ def psd_sqrt(state: DensityState) -> np.ndarray:
 
     The root comes from :func:`_batch_psd_sqrt` on a stack of one, so a
     single state and a stack follow the same floor and dust rules; it is
-    checked against rho once, when first computed.
+    checked against rho once, when first computed (at construction for a
+    checked state).
     """
     if state._sqrt is None:
         root = _batch_psd_sqrt(state.rho[None])[0]

@@ -116,7 +116,7 @@ def suite_weyl(dims=None, seed=0) -> list[CheckResult]:
             worst = max(worst, resid)
         results.append(_leq(f"weyl-product-law-residual-d{d}", worst, 1e-12 * d))
     for d in dims:
-        if d % 2 == 0 or d > _WEYL_LAW_DIM_CAP:
+        if d > _WEYL_LAW_DIM_CAP:
             continue
         ok = True
         for k1, l1, k2, l2 in product(range(d), repeat=4):

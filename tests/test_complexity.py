@@ -371,6 +371,11 @@ def test_rho_p_second_derivative_stencil_validation():
         rho_p_second_derivative(fam, 1.0 - 1e-5, 1e-4)
     with pytest.raises(ValueError):
         rho_p_second_derivative(fam, 1e-5, 1e-4)
+    # NaN fails every comparison, so only fail-closed checks reject it.
+    for p0, step in [(0.0, np.nan), (0.5, np.nan), (0.0, np.inf), (0.5, np.inf),
+                     (np.nan, 1e-4), (np.inf, 1e-4), (-np.inf, 1e-4)]:
+        with pytest.raises(ValueError):
+            rho_p_second_derivative(fam, p0, step)
 
 
 def test_rho_p_expansion_residual_scaling():

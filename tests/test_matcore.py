@@ -7,6 +7,8 @@ from stabc import (
     DimensionMismatchError,
     NegativeEigenvalueError,
     NotHermitianError,
+    complexity_report,
+    haar_unitary,
     hermitian_eig,
     hs_inner,
     mix,
@@ -170,6 +172,62 @@ def test_density_state_validation():
         DensityState.maximally_mixed(65)  # beyond the dense cap
     with pytest.raises(ValueError):
         DensityState.maximally_mixed(1)
+
+
+@pytest.fixture
+def eigensolve_counts(monkeypatch):
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("d, eighs", [(2, 0), (3, 1), (8, 1), (64, 1)])
+def test_checked_report_makes_one_eigensolve(eigensolve_counts, d, eighs):
+    # The constructor's eigenvalue check is the root kernel's floor check:
+    # one eigh at d >= 3 (none in the closed form at d = 2), no eigvalsh.
+    rho = random_mixed(d, d, 5).rho
+    complexity_report(DensityState(rho))
+    assert eigensolve_counts == {"eigh": eighs, "eigvalsh": 0}
+
+
+def test_unchecked_state_makes_no_eigensolve(eigensolve_counts):
+    DensityState(random_mixed(8, 8, 5).rho, check=False)
+    assert eigensolve_counts == {"eigh": 0, "eigvalsh": 0}
+
+
+def _state_with_min_eigenvalue(d, wmin):
+    # Exactly Hermitian, unit trace, smallest eigenvalue wmin.
+    w = np.full(d, (1.0 - wmin) / (d - 1))
+    w[0] = wmin
+    u = haar_unitary(d, d)
+    m = (u * w) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("d", [2, 3, 64])
+def test_construction_floor_is_unchanged(d):
+    with pytest.raises(NegativeEigenvalueError, match="below tolerated floor"):
+        DensityState(_state_with_min_eigenvalue(d, -2e-10))
+
+    state = DensityState(_state_with_min_eigenvalue(d, -5e-11))
+    root = state._sqrt
+    assert root is not None and psd_sqrt(state) is root
+
+    # The Hermitian and trace checks still run before the floor check.
+    bad = _state_with_min_eigenvalue(d, -2e-10)
+    bad[0, 1] += 1e-6
+    with pytest.raises(NotHermitianError):
+        DensityState(bad)
+    with pytest.raises(ValueError, match="trace") as raised:
+        DensityState(2 * _state_with_min_eigenvalue(d, -2e-10))
+    assert not isinstance(raised.value, NegativeEigenvalueError)
 
 
 def test_density_state_is_frozen():
