@@ -31,7 +31,12 @@ from .complexity import (
     rho_p_state,
 )
 from .errors import NoKnownFiducialError, StateFileError
-from .matcore import DensityState, random_mixed
+from .matcore import (
+    DensityState,
+    random_mixed_stack,
+    random_pure_vectors,
+    random_rank_mixed_stack,
+)
 from .states import enumerate_stabilizer_states, known_fiducial
 from .stateio import density_state_dict, load_state, pure_state_dict, save_state
 from .verify import SUITES, run_suites
@@ -203,14 +208,14 @@ def cmd_sample(args) -> int:
     if args.kind == "pure" and args.rank is not None:
         raise ValueError("--rank applies to --kind mixed only")
     rng = np.random.default_rng(np.random.SeedSequence([_seed(args), 100]))
-    docs = []
-    for _ in range(args.samples):
-        if args.kind == "pure":
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            docs.append(pure_state_dict(v / np.linalg.norm(v)))
+    if args.kind == "pure":
+        docs = [pure_state_dict(v) for v in random_pure_vectors(d, args.samples, rng)]
+    else:
+        if args.rank is None:
+            rhos = random_rank_mixed_stack(d, args.samples, rng)
         else:
-            rank = args.rank if args.rank is not None else int(rng.integers(1, d + 1))
-            docs.append(density_state_dict(random_mixed(d, rank, rng)))
+            rhos = random_mixed_stack(d, [args.rank] * args.samples, rng)
+        docs = [density_state_dict(DensityState(rho, check=False)) for rho in rhos]
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -291,9 +291,11 @@ def rho_p_complexity_analytic(family: RhoPFamily, c_psi: float) -> float:
 
 
 def rho_p_second_derivative(family: RhoPFamily, p0: float, step: float = 1e-4) -> float:
-    """Second difference of the closed-form complexity along the family.
+    """Central second difference of the closed-form complexity along the family.
 
-    Central stencil at interior p0; forward-biased stencil at p0 = 0.  The
+    The closed form is analytic on the whole state domain of the family,
+    p >= -1/(d-1) (where the weight on psi reaches zero) up to p = 1, so any
+    stencil inside it is accepted, including one centred at p0 = 0.  The
     anchor's pure complexity is evaluated once via the moment route.
     """
     h = float(step)
@@ -302,17 +304,15 @@ def rho_p_second_derivative(family: RhoPFamily, p0: float, step: float = 1e-4) -
     p0 = float(p0)
     if not np.isfinite(p0):
         raise ValueError(f"p0 must be finite, got {p0}")
+    d = family.dim
+    lo = -1.0 / (d - 1)
+    if p0 - h < lo or p0 + h > 1.0:
+        raise ValueError(f"central stencil around {p0} with step {h} leaves [{lo:.6g}, 1]")
     c_psi = complexity_by_moments(family.psi)
 
     def f(p: float) -> float:
-        return _rho_p_closed_form(family.dim, p, c_psi)
+        return _rho_p_closed_form(d, p, c_psi)
 
-    if p0 == 0.0:
-        if 2 * h > 1.0:
-            raise ValueError(f"forward stencil [0, {2 * h}] leaves [0, 1]")
-        return (f(0.0) - 2.0 * f(h) + f(2 * h)) / (h * h)
-    if p0 - h < 0.0 or p0 + h > 1.0:
-        raise ValueError(f"central stencil around {p0} with step {h} leaves [0, 1]")
     return (f(p0 + h) - 2.0 * f(p0) + f(p0 - h)) / (h * h)
 
 

@@ -39,7 +39,10 @@ from .matcore import (
     hs_norm,
     psd_sqrt,
     random_mixed,
+    random_mixed_stack,
     random_pure,
+    random_pure_stack,
+    random_rank_mixed_stack,
 )
 from .states import (
     bloch_to_state,
@@ -58,7 +61,8 @@ from .weyl import (
 )
 
 DEFAULT_DIMS = (2, 3, 4, 5)
-# suite_weyl's product-law and exponent-law rows walk all d^4 index quadruples.
+# suite_weyl's product-law and exponent-law rows walk all d^4 index quadruples;
+# the product-law row holds the d^2 operators D(k,l) of one d (4,096 entries at d = 8).
 _WEYL_LAW_DIM_CAP = 8
 
 
@@ -79,13 +83,13 @@ def _leq(check_id: str, observed: float, tol: float, note: str = "") -> CheckRes
     return CheckResult(check_id, float(observed), float(tol), bool(observed <= tol), note)
 
 
+def _states(rhos: np.ndarray) -> list[DensityState]:
+    return [DensityState(rho, check=False) for rho in rhos]
+
+
 def _sample_states(d: int, n: int, rng: np.random.Generator) -> list[DensityState]:
-    """Deterministic mix of pure, rank-2 and full-rank states."""
-    out = []
-    for i in range(n):
-        rank = (1, min(2, d), d)[i % 3]
-        out.append(random_mixed(d, rank, rng))
-    return out
+    """Deterministic mix of pure, rank-2 and full-rank states, drawn as one block."""
+    return _states(random_mixed_stack(d, [(1, min(2, d), d)[i % 3] for i in range(n)], rng))
 
 
 # -- suites -------------------------------------------------------------------
@@ -106,13 +110,11 @@ def suite_weyl(dims=None, seed=0) -> list[CheckResult]:
     for d in dims:
         if d > _WEYL_LAW_DIM_CAP:
             continue
+        ops = [[weyl_matrix(d, k, l) for l in range(d)] for k in range(d)]
         worst = 0.0
         for k1, l1, k2, l2 in product(range(d), repeat=4):
             phase, c = weyl_product_phase(WeylIndex(k1, l1, d), WeylIndex(k2, l2, d))
-            resid = hs_norm(
-                weyl_matrix(d, k1, l1) @ weyl_matrix(d, k2, l2)
-                - phase.value * weyl_matrix(d, c.k, c.l)
-            )
+            resid = hs_norm(ops[k1][l1] @ ops[k2][l2] - phase.value * ops[c.k][c.l])
             worst = max(worst, resid)
         results.append(_leq(f"weyl-product-law-residual-d{d}", worst, 1e-12 * d))
     for d in dims:
@@ -167,8 +169,7 @@ def suite_charfun(dims=None, samples=None, seed=0) -> list[CheckResult]:
         results.append(_leq(f"charfun-sqrt-table-normalization-d{d}", worst_norm, 1e-8))
 
         worst_collapse = 0.0
-        for _ in range(20):
-            state = random_pure(d, rng)
+        for state in _states(random_pure_stack(d, 20, rng)):
             worst_collapse = max(
                 worst_collapse,
                 float(np.abs(char_table(state).values - sqrt_char_table(state).values).max()),
@@ -178,8 +179,8 @@ def suite_charfun(dims=None, samples=None, seed=0) -> list[CheckResult]:
         lo = (1 + (d - 1) / (d + 1)) ** 0.25
         hi = d**0.25
         worst_out = 0.0
-        for _ in range(500 if samples is None else n):
-            m4 = lp_moment(char_table(random_pure(d, rng)), 4.0)
+        for state in _states(random_pure_stack(d, 500 if samples is None else n, rng)):
+            m4 = lp_moment(char_table(state), 4.0)
             worst_out = max(worst_out, lo - m4, m4 - hi)
         results.append(_leq(f"charfun-pure-moment4-bracket-d{d}", worst_out, 1e-9))
     return results
@@ -218,14 +219,12 @@ def suite_bounds(dims=None, samples=None, seed=0) -> list[CheckResult]:
     rng = _rng_for(seed, 5)
     results = []
     for d in dims:
-        pure = np.stack([random_pure(d, rng).rho for _ in range(n)])
-        c_pure = batch_complexity(pure)
+        c_pure = batch_complexity(random_pure_stack(d, n, rng))
         floor, ceil = pure_complexity_floor(d), complexity_upper_bound(d)
         results.append(_leq(f"bounds-pure-floor-defect-d{d}", float((floor - c_pure).max()), 1e-9))
         results.append(_leq(f"bounds-pure-ceiling-defect-d{d}", float((c_pure - ceil).max()), 1e-9))
 
-        mixed = np.stack([random_mixed(d, int(rng.integers(1, d + 1)), rng).rho for _ in range(n)])
-        c_mixed = batch_complexity(mixed)
+        c_mixed = batch_complexity(random_rank_mixed_stack(d, n, rng))
         results.append(_leq(f"bounds-mixed-floor-defect-d{d}", float((-c_mixed).max()), 1e-9))
         results.append(_leq(f"bounds-mixed-ceiling-defect-d{d}", float((c_mixed - ceil).max()), 1e-9))
         results.append(
@@ -276,11 +275,11 @@ def suite_complementarity(dims=None, samples=None, seed=0) -> list[CheckResult]:
     rng = _rng_for(seed, 7)
     results = []
     for d in dims:
-        states = [random_pure(d, rng) for _ in range(n)]
+        rhos = random_pure_stack(d, n, rng)
         m4_fourth = np.array(
-            [float(np.sum(np.abs(char_table(s).values) ** 4)) for s in states]
+            [float(np.sum(np.abs(char_table(s).values) ** 4)) for s in _states(rhos)]
         )
-        c = batch_complexity(np.stack([s.rho for s in states]))
+        c = batch_complexity(rhos)
         worst = float(np.abs(m4_fourth + c - d * d).max())
         results.append(_leq(f"complementarity-pure-sum-defect-d{d}", worst, 1e-8))
     return results
@@ -317,7 +316,7 @@ def suite_rho_p(dims=None, seed=0) -> list[CheckResult]:
             worst = max(worst, abs(analytic - generic))
         results.append(_leq(f"mixing-family-closed-form-gap-d{d}", worst, 1e-9))
 
-        curv = rho_p_second_derivative(fam, 0.001, 1e-4)
+        curv = rho_p_second_derivative(fam, 0.0, 1e-4)
         target = d * d * (d - 1)
         results.append(_leq(f"mixing-family-origin-curvature-error-d{d}",
                             abs(curv - target) / target, 0.01,
@@ -333,14 +332,21 @@ def suite_rho_p(dims=None, seed=0) -> list[CheckResult]:
         results.append(CheckResult(f"mixing-family-near-pure-curvature-sign-d{d}",
                                    float(edge), None, bool(ok), note))
 
+        # The residual's eps^2 term is exact: c2 eps^2 with the coefficient
+        # below.  At d = 2 it is the whole residual, so the halving ratio is 4;
+        # for d > 2 it is removed and the eps^(5/2) term leaves a ratio 2^(5/2).
+        if d == 2:
+            c2, target = 0.0, 4.0
+        else:
+            c2, target = -(d - 1) * (d * d - 8 * d + 8) / d, 2.0**2.5
         ratios = []
         eps = 1e-2
         while eps > 1.2e-4:
-            r_big = rho_p_expansion_residual(fam, eps)
-            r_half = rho_p_expansion_residual(fam, eps / 2)
+            r_big = rho_p_expansion_residual(fam, eps) - c2 * eps**2
+            r_half = rho_p_expansion_residual(fam, eps / 2) - c2 * (eps / 2) ** 2
             ratios.append(r_big / r_half)
             eps /= 2
-        worst_ratio = max(abs(r - 4.0) for r in ratios)
+        worst_ratio = max(abs(r - target) for r in ratios)
         results.append(_leq(f"mixing-family-expansion-quadratic-d{d}", worst_ratio, 1.0,
                             f"halving ratios {['%.3f' % r for r in ratios]}"))
 
@@ -385,7 +391,7 @@ def suite_stabilizers(dims=None, samples=None, seed=0) -> list[CheckResult]:
         results.append(_leq(f"stabilizer-floor-attainment-d{d}", worst, 1e-9))
 
         n = int(samples) if samples else 300
-        c = batch_complexity(np.stack([random_pure(d, rng).rho for _ in range(n)]))
+        c = batch_complexity(random_pure_stack(d, n, rng))
         results.append(_leq(f"stabilizer-floor-not-undercut-d{d}", float((floor - c).max()), 1e-9))
     return results
 

@@ -7,7 +7,7 @@ implementations under test.
 
 import numpy as np
 
-from stabc.matcore import SQRT_RANK_RCOND
+from stabc.matcore import SQRT_RANK_RCOND, DensityState
 
 
 def naive_weyl_matrix(d: int, k: int, l: int) -> np.ndarray:
@@ -58,3 +58,17 @@ def naive_psd_sqrt(rho: np.ndarray) -> np.ndarray:
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2
+
+
+def oracle_random_pure(d: int, rng: np.random.Generator) -> DensityState:
+    """One Haar-random pure state drawn alone: the per-state sampling code
+    the stacked samplers must reproduce bit for bit."""
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return DensityState.pure(v)
+
+
+def oracle_random_mixed(d: int, rank: int, rng: np.random.Generator) -> DensityState:
+    """One rank-constrained Ginibre state drawn alone (see oracle_random_pure)."""
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    m = g @ g.conj().T
+    return DensityState(m / np.trace(m).real, check=False)

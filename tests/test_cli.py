@@ -145,13 +145,20 @@ def test_verify_weyl_matches_golden_output(capsys):
     assert out == golden
 
 
+SAMPLE_ARGS = ["sample", "--d", "3", "--samples", "4", "--seed", "5", "--kind"]
+
+
 @pytest.mark.parametrize("argv, golden", [
     (["verify", "all", "--seed", "0"], "verify_all_seed0.txt"),
     (["sweep", "--d", "3", "--steps", "101"], "sweep_d3_steps101.txt"),
+    ([*SAMPLE_ARGS, "pure"], "sample_pure_d3_n4_seed5.txt"),
+    ([*SAMPLE_ARGS, "mixed", "--rank", "2"], "sample_mixed_rank2_d3_n4_seed5.txt"),
+    ([*SAMPLE_ARGS, "mixed"], "sample_mixed_d3_n4_seed5.txt"),
 ])
 def test_output_matches_golden_file(capsys, argv, golden):
-    # Written by these command lines while the convexity suite still
-    # re-evaluated its witness mixture; pins the text output byte for byte.
+    # Written by these command lines (the verify and sweep files while the
+    # convexity suite still re-evaluated its witness mixture, the sample files
+    # while each state was drawn alone); pins the text output byte for byte.
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
@@ -337,6 +344,8 @@ REFUSED = [
     (["verify", "all", "--d", "4"], False),
     (["verify", "all", "--samples", "5"], False),
     (["sample", "--kind", "mixed", "--rank", "0"], False),
+    (["sample", "--d", "1"], False),
+    (["sample", "--d", "65", "--kind", "pure"], False),
 ]
 
 
@@ -354,6 +363,13 @@ def test_ignored_input_exits_2(tmp_path, capsys, argv, by_argparse):
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("d", [7, 9, 11, 16, 64])
+def test_verify_rho_p_passes_at_every_dimension(capsys, d):
+    code, out, _ = run_cli(capsys, "verify", "rho-p", "--d", str(d))
+    assert code == 0, out
+    assert out.endswith("5/5 checks passed\n")
 
 
 def test_sweep_steps_below_2_is_not_a_state_file_error():

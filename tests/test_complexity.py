@@ -332,8 +332,9 @@ def test_rho_p_curvature_at_origin(d):
     target = d * d * (d - 1)
     curv = rho_p_second_derivative(stabilizer_family(d), 0.001, 1e-4)
     assert curv == pytest.approx(target, rel=0.01)
-    forward = rho_p_second_derivative(stabilizer_family(d), 0.0, 1e-4)
-    assert forward == pytest.approx(target, rel=0.01)
+    # Centred at p0 = 0: the stencil reaches p = -h, still a state.
+    origin = rho_p_second_derivative(stabilizer_family(d), 0.0, 1e-4)
+    assert origin == pytest.approx(target, rel=1e-6)
 
 
 def test_rho_p_curvature_documented_example_d3():
@@ -369,8 +370,10 @@ def test_rho_p_second_derivative_stencil_validation():
         rho_p_second_derivative(fam, 0.5, -1e-4)
     with pytest.raises(ValueError):
         rho_p_second_derivative(fam, 1.0 - 1e-5, 1e-4)
+    # The stencil may leave [0, 1] below 0 but not the state domain p >= -1/(d-1).
+    assert rho_p_second_derivative(fam, 1e-5, 1e-4) == pytest.approx(18.0, rel=1e-3)
     with pytest.raises(ValueError):
-        rho_p_second_derivative(fam, 1e-5, 1e-4)
+        rho_p_second_derivative(fam, -0.5 + 5e-5, 1e-4)
     # NaN fails every comparison, so only fail-closed checks reject it.
     for p0, step in [(0.0, np.nan), (0.5, np.nan), (0.0, np.inf), (0.5, np.inf),
                      (np.nan, 1e-4), (np.inf, 1e-4), (-np.inf, 1e-4)]:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import naive_psd_sqrt, random_hermitian
+from helpers import naive_psd_sqrt, oracle_random_mixed, oracle_random_pure, random_hermitian
 
 from stabc import (
     DensityState,
@@ -17,7 +17,14 @@ from stabc import (
     random_pure,
     weyl_matrix,
 )
-from stabc.matcore import _batch_psd_sqrt, _ginibre_density_batch
+from stabc.matcore import (
+    _batch_psd_sqrt,
+    _ginibre_density_batch,
+    random_mixed_stack,
+    random_pure_stack,
+    random_pure_vectors,
+    random_rank_mixed_stack,
+)
 from stabc.states import SIGMA_X, SIGMA_Z, state_to_bloch
 
 SQRT3_4 = np.sqrt(0.75)  # sqrt of the 0.75 eigenvalue, frozen oracle value
@@ -141,6 +148,56 @@ def test_random_mixed_rank_and_trace():
         random_mixed(3, 4, 0)
     with pytest.raises(ValueError):
         random_mixed(3, 0, 0)
+
+
+SAMPLER_DIMS = [2, 3, 4, 5, 8, 16, 64]
+
+
+def _same_stream(a: np.random.Generator, b: np.random.Generator) -> bool:
+    return a.random() == b.random()
+
+
+@pytest.mark.parametrize("d", SAMPLER_DIMS)
+def test_pure_sampler_is_bitwise_sequential_draws(d):
+    n = 200 if d <= 16 else 40
+    for seed in range(3):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = np.array([oracle_random_pure(d, ref_rng).rho for _ in range(n)])
+        assert np.array_equal(random_pure_stack(d, n, rng), expected)
+        assert _same_stream(ref_rng, rng)
+    ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+    v = ref_rng.standard_normal(d) + 1j * ref_rng.standard_normal(d)
+    assert np.array_equal(random_pure_vectors(d, 1, rng)[0], v / np.linalg.norm(v))
+    assert np.array_equal(random_pure(d, 3).rho, oracle_random_pure(d, np.random.default_rng(3)).rho)
+
+
+@pytest.mark.parametrize("d", SAMPLER_DIMS)
+def test_mixed_samplers_are_bitwise_sequential_draws(d):
+    n = 60 if d <= 16 else 12
+    cycling = [(1, min(2, d), d)[i % 3] for i in range(n)]
+    for ranks in (list(range(1, d + 1)), cycling):
+        ref_rng, rng = np.random.default_rng(d), np.random.default_rng(d)
+        expected = np.array([oracle_random_mixed(d, r, ref_rng).rho for r in ranks])
+        assert np.array_equal(random_mixed_stack(d, ranks, rng), expected)
+        assert _same_stream(ref_rng, rng)
+    for rank in (1, d):
+        assert np.array_equal(random_mixed(d, rank, 5).rho,
+                              oracle_random_mixed(d, rank, np.random.default_rng(5)).rho)
+    ref_rng, rng = np.random.default_rng(d + 1), np.random.default_rng(d + 1)
+    expected = np.array([oracle_random_mixed(d, int(ref_rng.integers(1, d + 1)), ref_rng).rho
+                         for _ in range(n)])
+    assert np.array_equal(random_rank_mixed_stack(d, n, rng), expected)
+    assert _same_stream(ref_rng, rng)
+
+
+def test_samplers_accept_empty_blocks_and_refuse_bad_ranks():
+    rng = np.random.default_rng(0)
+    assert random_pure_stack(3, 0, rng).shape == (0, 3, 3)
+    assert random_mixed_stack(3, [], rng).shape == (0, 3, 3)
+    assert random_rank_mixed_stack(3, 0, rng).shape == (0, 3, 3)
+    for ranks in ([1, 4], [0, 2]):
+        with pytest.raises(ValueError, match="rank must be in"):
+            random_mixed_stack(3, ranks, rng)
 
 
 def test_random_mixed_full_rank_spectrum():

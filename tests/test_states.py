@@ -151,10 +151,13 @@ def test_stabilizer_certification_names_the_failing_class(monkeypatch):
 
 def test_import_does_not_load_scipy():
     # numpy.fft and numpy.random are not loaded by `import numpy`; keeping
-    # them out keeps the import cost flat.
+    # them out keeps the import cost flat.  The samplers must not pull in
+    # numpy.ma either (np.unique does: ~14 ms and ~1.3 MB per process).
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import stabc, stabc.cli, sys; "
-            "assert not {'scipy', 'numpy.fft', 'numpy.random'} & set(sys.modules)")
+            "assert not {'scipy', 'numpy.fft', 'numpy.random'} & set(sys.modules); "
+            "from stabc.verify import run_suites; run_suites(['bounds'], samples=3); "
+            "assert 'numpy.ma' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
