@@ -95,7 +95,7 @@ def lp_moment(table: CharTable, p: float = 4.0) -> float:
     here and are rejected.
     """
     p = float(p)
-    if p < 2.0:
+    if not p >= 2.0:
         raise ValueError(f"moment exponent must be >= 2, got {p}")
     if table.source == SOURCE_GENERIC:
         raise ValueError("moments are defined for state or sqrt_state tables only")

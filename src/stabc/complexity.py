@@ -35,10 +35,11 @@ from .matcore import (
     SQRT_RANK_RCOND,
     DensityState,
     _batch_psd_sqrt,
-    _ginibre_density_batch,
+    _pure_rule,
     check_dim,
     hs_norm,
     psd_sqrt,
+    random_mixed_stack,
 )
 from .states import BlochVector
 from .weyl import WeylIndex, _table_constants, weyl_coefficient_table
@@ -47,7 +48,6 @@ _CROSS_CHECK_TOL = 1e-10
 _TRADEOFF_TOL = 1e-10
 _PATH_GAP_TOL = 1e-9
 _BOUND_SLACK = 1e-9
-_PURITY_THRESHOLD = 1e-8
 _COMPLEMENTARITY_TOL = 1e-8
 
 
@@ -192,15 +192,8 @@ def complexity_report(rho: DensityState) -> ComplexityReport:
 
     purity = rho.purity()
     m4_fourth = None
-    # Complementarity holds for pure states only, and C moves with the root's
-    # sqrt(lambda_2): purity alone accepts lambda_2 up to ~5e-9, where C is
-    # off by ~1e-4.  So the root must have rank one as well: (tr S)^2 - tr rho
-    # = sum_{i != j} sqrt(lambda_i lambda_j) is rounding-level for it and at
-    # least 2 sqrt(SQRT_RANK_RCOND) ~ 6e-7 for any root of higher rank.
-    if purity >= 1.0 - _PURITY_THRESHOLD and (
-        float(np.trace(psd_sqrt(rho)).real) ** 2 - float(np.trace(rho.rho).real)
-        <= _PURITY_THRESHOLD
-    ):
+    # Complementarity holds for pure states only (DensityState.is_pure).
+    if _pure_rule(rho, purity):
         m4_fourth = float(np.sum(np.abs(char_table(rho).values) ** 4))
         if not abs(m4_fourth + c_mom - d * d) <= _COMPLEMENTARITY_TOL:
             raise ArithmeticError(
@@ -414,13 +407,15 @@ def convexity_scan(d: int, samples: int, seed) -> list[ConvexityViolation]:
     First evaluates the deterministic witness of
     :func:`convexity_witness_states` and records it with index -1 if it
     violates convexity, which it does for every d >= 3.  Then draws
-    ``samples`` triples (rho_1, rho_2, lambda) with ranks uniform on
-    {1, .., d} and lambda uniform on (0, 1), and records every case with
+    ``samples`` >= 0 triples (rho_1, rho_2, lambda), Ginibre states of ranks
+    uniform on {1, .., d} and lambda uniform on (0, 1), and records each
     C(lam rho_1 + (1-lam) rho_2) > lam C(rho_1) + (1-lam) C(rho_2) + 1e-9,
     in sample order.  For d = 2 the expected outcome is an empty list.
     """
     d = check_dim(d)
     samples = int(samples)
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     rng = np.random.default_rng(seed)
     violations: list[ConvexityViolation] = []
 
@@ -436,8 +431,8 @@ def convexity_scan(d: int, samples: int, seed) -> list[ConvexityViolation]:
         n = min(_SCAN_CHUNK, samples - done)
         ranks_a = rng.integers(1, d + 1, size=n)
         ranks_b = rng.integers(1, d + 1, size=n)
-        rho_a = _ginibre_density_batch(d, ranks_a, rng)
-        rho_b = _ginibre_density_batch(d, ranks_b, rng)
+        rho_a = random_mixed_stack(d, ranks_a, rng)
+        rho_b = random_mixed_stack(d, ranks_b, rng)
         lam = rng.uniform(size=n)
         mixtures = lam[:, None, None] * rho_a + (1 - lam)[:, None, None] * rho_b
         c_mix = batch_complexity(mixtures)

@@ -1,5 +1,5 @@
-"""Dense complex-matrix primitives: Hermitian eigendecompositions, PSD square
-roots, Hilbert-Schmidt inner products, and seeded random-state generation.
+"""Dense complex-matrix primitives: density states, PSD square roots and
+seeded random-state generation.
 
 All routines target dense double precision at desk scale; dimensions above
 ``DIM_CAP`` are rejected rather than silently degraded.
@@ -17,7 +17,6 @@ DIM_CAP = 64
 # Tolerances.  Matrix-norm checks scale with dimension, scalar trace checks
 # are absolute.
 HERMITIAN_TOL = 1e-12
-EIG_HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-12
 PURITY_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-10
@@ -45,38 +44,9 @@ def _as_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a^dag b)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def hs_norm(a: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(np.asarray(a)))
-
-
-def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns eigenvalues in ascending order and the unitary matrix of
-    eigenvectors (columns).  Raises :class:`NotHermitianError` when the
-    symmetry defect exceeds ``EIG_HERMITIAN_TOL * d`` in Hilbert-Schmidt
-    norm or any entry is non-finite (``eigh`` would read past a NaN above the
-    diagonal).
-    """
-    m = _as_square(m)
-    d = m.shape[0]
-    if not np.isfinite(m).all():
-        raise NotHermitianError("matrix has non-finite entries")
-    defect = hs_norm(m - m.conj().T)
-    if not defect <= EIG_HERMITIAN_TOL * d:
-        raise NotHermitianError(f"symmetry defect {defect:.3e} exceeds {EIG_HERMITIAN_TOL * d:.3e}")
-    w, v = np.linalg.eigh(m)
-    return w, v
 
 
 class DensityState:
@@ -125,7 +95,15 @@ class DensityState:
         return float(np.sum(np.abs(self._rho) ** 2))
 
     def is_pure(self) -> bool:
-        return self.purity() >= 1.0 - PURITY_TOL
+        """Purity 1 and a rank-one square root, both within PURITY_TOL.
+
+        Purity alone is not enough: C moves with the root's sqrt(lambda_2),
+        and purity accepts lambda_2 up to ~5e-9, where C is off by ~1e-4.  So
+        the root must have rank one as well: (tr S)^2 - tr rho =
+        sum_{i != j} sqrt(lambda_i lambda_j) is rounding-level for it and at
+        least 2 sqrt(SQRT_RANK_RCOND) ~ 6e-7 for any root of higher rank.
+        """
+        return _pure_rule(self, self.purity())
 
     @classmethod
     def pure(cls, vector: np.ndarray) -> "DensityState":
@@ -146,6 +124,13 @@ class DensityState:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityState(dim={self.dim}, purity={self.purity():.6f})"
+
+
+def _pure_rule(state: DensityState, purity: float) -> bool:
+    """:meth:`DensityState.is_pure` for a caller that already holds the purity."""
+    return purity >= 1.0 - PURITY_TOL and (
+        float(np.trace(psd_sqrt(state)).real) ** 2 - float(np.trace(state.rho).real) <= PURITY_TOL
+    )
 
 
 def psd_sqrt(state: DensityState) -> np.ndarray:
@@ -281,22 +266,6 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
-
-
-def _ginibre_density_batch(d: int, ranks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Stack of random density matrices, one per requested rank.
-
-    Columns of each Ginibre factor beyond the sample's rank are zeroed, which
-    reproduces the rank-r Ginibre ensemble exactly.
-    """
-    ranks = np.asarray(ranks, dtype=int)
-    n = ranks.size
-    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-    col_mask = np.arange(d)[None, None, :] < ranks[:, None, None]
-    g = np.where(col_mask, g, 0.0)
-    rhos = g @ np.conjugate(np.swapaxes(g, 1, 2))
-    traces = np.einsum("nii->n", rhos).real
-    return rhos / traces[:, None, None]
 
 
 def _batch_psd_sqrt(rhos: np.ndarray) -> np.ndarray:

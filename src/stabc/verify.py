@@ -107,27 +107,24 @@ def suite_weyl(dims=None, seed=0) -> list[CheckResult]:
         results.append(
             CheckResult(f"weyl-basis-orthogonality-d{d}", 1.0 if ok else 0.0, None, ok, note)
         )
+    # One walk over the index quadruples per d feeds both law rows.
+    exponent_rows = []
     for d in dims:
         if d > _WEYL_LAW_DIM_CAP:
             continue
         ops = [[weyl_matrix(d, k, l) for l in range(d)] for k in range(d)]
         worst = 0.0
+        ok = True
         for k1, l1, k2, l2 in product(range(d), repeat=4):
             phase, c = weyl_product_phase(WeylIndex(k1, l1, d), WeylIndex(k2, l2, d))
             resid = hs_norm(ops[k1][l1] @ ops[k2][l2] - phase.value * ops[c.k][c.l])
             worst = max(worst, resid)
-        results.append(_leq(f"weyl-product-law-residual-d{d}", worst, 1e-12 * d))
-    for d in dims:
-        if d > _WEYL_LAW_DIM_CAP:
-            continue
-        ok = True
-        for k1, l1, k2, l2 in product(range(d), repeat=4):
             if k1 + k2 < d and l1 + l2 < d:  # no index reduction
-                e, _ = weyl_product_phase(WeylIndex(k1, l1, d), WeylIndex(k2, l2, d))
-                if e.exponent != (l1 * k2 - k1 * l2) % (2 * d):
-                    ok = False
-        results.append(CheckResult(f"weyl-unreduced-exponent-law-d{d}", 1.0 if ok else 0.0,
-                                   None, ok, "1 = exponent matches ls-kt"))
+                ok = ok and phase.exponent == (l1 * k2 - k1 * l2) % (2 * d)
+        results.append(_leq(f"weyl-product-law-residual-d{d}", worst, 1e-12 * d))
+        exponent_rows.append(CheckResult(f"weyl-unreduced-exponent-law-d{d}", 1.0 if ok else 0.0,
+                                         None, ok, "1 = exponent matches ls-kt"))
+    results += exponent_rows
     for d in dims:
         rho = random_mixed(d, d, rng)
         base = complexity_by_moments(rho)

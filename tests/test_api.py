@@ -3,9 +3,11 @@ import inspect
 from pathlib import Path
 
 import stabc
-from stabc import DensityState, charfun, hermitian_eig, weyl
+from stabc import DensityState, charfun, complexity, matcore, weyl
 
-PRUNED = ("WeylOperator", "is_clifford", "omega", "weyl_op", "weyl_stack")
+PRUNED = (
+    "WeylOperator", "hermitian_eig", "hs_inner", "is_clifford", "omega", "weyl_op", "weyl_stack",
+)
 
 
 def test_all_is_sorted_unique_and_resolves():
@@ -21,12 +23,19 @@ def test_pruned_names_are_not_exported():
         assert name not in stabc.__all__
         assert not hasattr(stabc, name)
         assert not hasattr(weyl, name)
+        assert not hasattr(matcore, name)
     assert not hasattr(charfun.CharTable, "moduli")
+
+
+def test_second_implementations_are_gone():
+    # One rank-r Ginibre sampler and one pure-state rule.
+    assert not hasattr(matcore, "_ginibre_density_batch")
+    assert not hasattr(matcore, "EIG_HERMITIAN_TOL")
+    assert not hasattr(complexity, "_PURITY_THRESHOLD")
 
 
 def test_one_value_keywords_are_constants():
     assert "tol" not in inspect.signature(DensityState.is_pure).parameters
-    assert "tol" not in inspect.signature(hermitian_eig).parameters
     assert not hasattr(DensityState, "sqrt")
 
 

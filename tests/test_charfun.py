@@ -144,8 +144,9 @@ def test_moment_reference_values():
 
 def test_moment_rejects_bad_exponent_and_generic_tables():
     t = char_table(DensityState.maximally_mixed(2))
-    with pytest.raises(ValueError):
-        lp_moment(t, 1.5)
+    for bad in (1.5, np.nan):
+        with pytest.raises(ValueError, match="exponent"):
+            lp_moment(t, bad)
     with pytest.raises(ValueError):
         lp_moment(char_table(np.eye(2, dtype=complex)), 4.0)
 

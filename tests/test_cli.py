@@ -249,6 +249,19 @@ def test_sweep_fiducial_anchor(capsys):
     assert float(last[1]) == pytest.approx(8 / 3, abs=5e-8)
 
 
+def test_sweep_near_pure_anchor_exits_2(tmp_path, capsys):
+    # A valid density file whose purity passes 1 - 1e-8 but whose root has
+    # rank two is not a pure anchor: an input error, not a failed check.
+    rho = np.diag([1 - 3e-9, 3e-9, 0.0]).astype(complex)
+    doc = {"dim": 3, "kind": "density",
+           "matrix": [[float(x.real), float(x.imag)] for x in rho.reshape(-1)]}
+    code, out, err = run_cli(capsys, "sweep", "--d", "3", "--psi", write_state(tmp_path, doc),
+                             "--steps", "5")
+    assert code == 2
+    assert "must be pure" in err
+    assert out == ""
+
+
 def test_sweep_rejects_bad_family(capsys):
     # sweep has one family, so it takes no --family; argparse refuses it
     with pytest.raises(SystemExit) as exc:

@@ -249,6 +249,13 @@ def test_report_near_pure_state(ratio, pure):
     assert (rep.m4_fourth_power is not None) == pure
 
 
+def test_report_m4_only_for_rank_one_roots():
+    near = DensityState(np.diag([1 - 3e-9, 3e-9, 0.0]))
+    assert complexity_report(near).m4_fourth_power is None
+    for psi in (basis_state(3), known_fiducial(3).projector(), random_pure(64, 1)):
+        assert complexity_report(psi).m4_fourth_power is not None
+
+
 # -- qubit closed form ---------------------------------------------------------
 
 
@@ -295,6 +302,13 @@ def test_rho_p_state_endpoints_and_midpoint():
         RhoPFamily(basis_state(2), 1.5)
     with pytest.raises(ValueError):
         RhoPFamily(DensityState.maximally_mixed(2), 0.5)  # anchor must be pure
+
+
+def test_rho_p_family_refuses_near_pure_anchor():
+    # Purity 0.999999994, but the root has rank two, so the closed form,
+    # which assumes a rank-one root, would miss the generic value by ~4e-9.
+    with pytest.raises(ValueError, match="pure"):
+        RhoPFamily(DensityState(np.diag([1 - 3e-9, 3e-9, 0.0])), 0.5)
 
 
 def test_rho_p_closed_form_endpoints():
@@ -425,6 +439,11 @@ def test_convexity_scan_finds_witness_d3():
     assert violations, "deterministic witness must be recorded"
     assert violations[0].index == -1
     assert violations[0].excess > 5e-3
+
+
+def test_convexity_scan_rejects_negative_samples():
+    with pytest.raises(ValueError, match="samples"):
+        convexity_scan(3, -5, 7)
 
 
 def test_convexity_scan_d2_clean():

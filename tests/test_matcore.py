@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import naive_psd_sqrt, oracle_random_mixed, oracle_random_pure, random_hermitian
+from helpers import naive_psd_sqrt, oracle_random_mixed, oracle_random_pure
 
 from stabc import (
     DensityState,
@@ -8,67 +8,24 @@ from stabc import (
     NegativeEigenvalueError,
     NotHermitianError,
     complexity_report,
+    enumerate_stabilizer_states,
     haar_unitary,
-    hermitian_eig,
-    hs_inner,
+    known_fiducial,
     mix,
     psd_sqrt,
     random_mixed,
     random_pure,
-    weyl_matrix,
 )
 from stabc.matcore import (
     _batch_psd_sqrt,
-    _ginibre_density_batch,
     random_mixed_stack,
     random_pure_stack,
     random_pure_vectors,
     random_rank_mixed_stack,
 )
-from stabc.states import SIGMA_X, SIGMA_Z, state_to_bloch
+from stabc.states import state_to_bloch
 
 SQRT3_4 = np.sqrt(0.75)  # sqrt of the 0.75 eigenvalue, frozen oracle value
-
-
-def test_hermitian_eig_diagonal_inputs():
-    w, v = hermitian_eig(np.diag([1.0, 0.0]).astype(complex))
-    assert np.allclose(w, [0.0, 1.0])
-    assert np.allclose(np.abs(v), np.eye(2)[:, ::-1])
-
-    w, _ = hermitian_eig(np.eye(2, dtype=complex) / 2)
-    assert np.allclose(w, [0.5, 0.5])
-
-
-def test_hermitian_eig_sigma_x():
-    # Hand eigendecomposition: eigenvalues -1, +1 with (1, -1)/sqrt(2), (1, 1)/sqrt(2).
-    w, v = hermitian_eig(SIGMA_X)
-    assert np.allclose(w, [-1.0, 1.0])
-    for col, expected in zip(v.T, (np.array([1, -1]) / np.sqrt(2), np.array([1, 1]) / np.sqrt(2))):
-        overlap = abs(np.vdot(col, expected))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
-
-
-def test_hermitian_eig_rejects_asymmetric():
-    with pytest.raises(NotHermitianError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-
-def test_hermitian_eig_rejects_nan_above_diagonal():
-    # eigh reads only the lower triangle and would return identity eigenpairs.
-    m = np.eye(3, dtype=complex)
-    m[0, 1] = np.nan
-    with pytest.raises(NotHermitianError):
-        hermitian_eig(m)
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
-def test_hermitian_eig_reconstruction_residual(d):
-    rng = np.random.default_rng(d)
-    m = random_hermitian(d, rng)
-    w, v = hermitian_eig(m)
-    resid = np.linalg.norm((v * w) @ v.conj().T - m) / np.linalg.norm(m)
-    assert resid <= 1e-10
-    assert np.linalg.norm(v.conj().T @ v - np.eye(d)) <= 1e-10 * d
 
 
 def test_psd_sqrt_scalar_and_projector():
@@ -107,7 +64,7 @@ def test_batch_psd_sqrt_matches_scalar_root(d):
     # member must both agree with the independent eigh root, pure members
     # included.
     rng = np.random.default_rng(11)
-    rhos = _ginibre_density_batch(d, rng.integers(1, d + 1, size=200), rng)
+    rhos = random_mixed_stack(d, rng.integers(1, d + 1, size=200), rng)
     roots = _batch_psd_sqrt(rhos)
     for rho, root in zip(rhos, roots):
         expected = naive_psd_sqrt(rho)
@@ -115,13 +72,26 @@ def test_batch_psd_sqrt_matches_scalar_root(d):
         assert np.abs(psd_sqrt(DensityState(rho)) - expected).max() <= 1e-13
 
 
-def test_hs_inner_values():
-    assert hs_inner(np.eye(3), np.eye(3)) == pytest.approx(3.0)
-    assert hs_inner(SIGMA_X, SIGMA_Z) == pytest.approx(0.0)
-    d01 = weyl_matrix(5, 0, 1)
-    assert hs_inner(d01, d01) == pytest.approx(5.0, abs=1e-12)
-    with pytest.raises(DimensionMismatchError):
-        hs_inner(np.eye(2), np.eye(3))
+@pytest.mark.parametrize("d", [2, 3, 64])
+def test_is_pure_accepts_pure_vectors(d):
+    rng = np.random.default_rng(d)
+    assert DensityState.pure(rng.standard_normal(d) + 1j * rng.standard_normal(d)).is_pure()
+    assert DensityState.pure(np.eye(d)[:, d - 1]).is_pure()
+
+
+def test_is_pure_accepts_stabilizer_states_and_fiducials():
+    assert all(s.is_pure() for s in enumerate_stabilizer_states(5).states)
+    assert known_fiducial(2).projector().is_pure()
+    assert known_fiducial(3).projector().is_pure()
+
+
+def test_is_pure_needs_a_rank_one_root():
+    # Purity 0.999999994 passes the purity test, but sqrt(3e-9) ~ 5.5e-5 is
+    # a second eigenvalue of the root.
+    near = DensityState(np.diag([1 - 3e-9, 3e-9, 0.0]))
+    assert near.purity() >= 1.0 - 1e-8
+    assert not near.is_pure()
+    assert not DensityState.maximally_mixed(3).is_pure()
 
 
 def test_random_pure_is_normalized_rank_one():

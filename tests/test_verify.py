@@ -36,9 +36,13 @@ def test_suites_draw_samples_per_block_not_per_state(monkeypatch, suite):
 
 
 def test_weyl_suite_builds_each_operator_once_per_row(monkeypatch):
-    calls = [0]
+    calls, phases = [0], [0]
     _count_calls(monkeypatch, [weyl, verify], "weyl_matrix", calls)
+    _count_calls(monkeypatch, [verify], "weyl_product_phase", phases)
     dims = (2, 3, 4, 5, 7)
     rows = verify.suite_weyl(dims=dims)
     assert all(r.passed for r in rows), rows
     assert calls[0] <= 3 * sum(d * d for d in dims)
+    # The product-law and exponent-law rows share one walk over the d^4
+    # index quadruples.
+    assert phases[0] == sum(d**4 for d in dims)
