@@ -44,20 +44,10 @@ class CharTable:
 
     def __post_init__(self):
         v = _as_square(self.values)
-        d = check_dim(v.shape[0])
+        check_dim(v.shape[0])
         if self.source not in (SOURCE_STATE, SOURCE_SQRT_STATE, SOURCE_GENERIC):
             raise ValueError(f"unknown source tag {self.source!r}")
-        if self.source == SOURCE_STATE and abs(v[0, 0] - 1.0) > _STATE_TRACE_TOL:
-            raise ValueError(
-                f"state table has c(0,0) = {v[0, 0]}, expected 1 within {_STATE_TRACE_TOL:.1e}"
-            )
-        if self.source == SOURCE_SQRT_STATE:
-            total = float(np.sum(np.abs(v) ** 2))
-            if abs(total - d) > _SQRT_NORM_TOL:
-                raise ValueError(
-                    f"square-root table has sum |c|^2 = {total}, expected {d} "
-                    f"within {_SQRT_NORM_TOL:.1e}"
-                )
+        _check_invariant(v[None], self.source)
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -65,6 +55,37 @@ class CharTable:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
+
+
+def _check_invariant(tables: np.ndarray, source: str) -> None:
+    """Check every member of a stack of tables (n, d, d) against its source's invariant.
+
+    ``state`` tables need c(0, 0) = 1 and ``sqrt_state`` tables
+    sum |c|^2 = d; a failure (NaN included) raises ValueError naming the
+    first failing member's value.  :class:`CharTable` checks the one-row case.
+    """
+    if source == SOURCE_STATE:
+        what, values, target, tol = "state table has c(0,0)", tables[:, 0, 0], 1, _STATE_TRACE_TOL
+    elif source == SOURCE_SQRT_STATE:
+        what, target, tol = "square-root table has sum |c|^2", tables.shape[-1], _SQRT_NORM_TOL
+        values = (np.abs(tables) ** 2).sum(axis=(1, 2))
+    else:
+        return
+    defects = np.abs(values - target)
+    if not defects.max(initial=0.0) <= tol:
+        i = int(np.argmax(~(defects <= tol)))
+        raise ValueError(f"{what} = {values[i]}, expected {target} within {tol:.1e}")
+
+
+def _checked_tables(stack: np.ndarray, source: str) -> np.ndarray:
+    """Characteristic tables of a stack (n, d, d), each checked as a ``source`` table.
+
+    The stacked form of building a :class:`CharTable` per member, bitwise
+    the same values, without the per-member copy.
+    """
+    tables = weyl_coefficient_table(stack)
+    _check_invariant(tables, source)
+    return tables
 
 
 def char_table(a: np.ndarray | DensityState) -> CharTable:
@@ -91,12 +112,29 @@ def reconstruct(table: CharTable) -> np.ndarray:
 def lp_moment(table: CharTable, p: float = 4.0) -> float:
     """L^p moment (sum |c(k, l)|^p)^(1/p) of a state or square-root table.
 
-    Only defined for p >= 2; generic tables have no moment interpretation
-    here and are rejected.
+    Only defined for finite p >= 2; generic tables have no moment
+    interpretation here and are rejected.  The one-row case of
+    :func:`_lp_moments`.
     """
-    p = float(p)
-    if not p >= 2.0:
-        raise ValueError(f"moment exponent must be >= 2, got {p}")
     if table.source == SOURCE_GENERIC:
         raise ValueError("moments are defined for state or sqrt_state tables only")
-    return float(np.sum(np.abs(table.values) ** p) ** (1.0 / p))
+    return float(_lp_moments(table.values[None], p)[0])
+
+
+def _lp_moments(tables: np.ndarray, p: float) -> np.ndarray:
+    """L^p moment of each member of a stack of state or square-root tables (n, d, d).
+
+    ValueError for p not finite and >= 2, and for a p so large that a power
+    sum overflows.  A sum cannot underflow to zero instead: c(0,0) = 1 in a
+    state table, and tr S >= 1 in a square-root table.
+    """
+    p = float(p)
+    if not 2.0 <= p < np.inf:
+        raise ValueError(f"moment exponent must be finite and >= 2, got {p}")
+    with np.errstate(over="ignore"):
+        sums = (np.abs(tables) ** p).sum(axis=(1, 2))
+    if not np.isfinite(sums).all():
+        raise ValueError(f"moment exponent p = {p} overflows the power sum")
+    # One scalar pow per member: np.power on an array may take a vector pow
+    # (AVX-512) that rounds differently, and printed moments carry the bits.
+    return np.array([total ** (1.0 / p) for total in sums])

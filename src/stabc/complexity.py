@@ -25,19 +25,20 @@ states confined to [d^2 - d, d^2 - 2d/(d+1)].
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .charfun import char_table, sqrt_char_table
+from .charfun import SOURCE_SQRT_STATE, _checked_tables, char_table
 from .errors import NotHermitianError
 from .matcore import (
     HERMITIAN_TOL,
     SQRT_RANK_RCOND,
     DensityState,
     _batch_psd_sqrt,
+    _hs_norms,
     _pure_rule,
     check_dim,
-    hs_norm,
     psd_sqrt,
     random_mixed_stack,
 )
@@ -73,12 +74,12 @@ def jordan_lie_terms(rho: DensityState, idx: WeylIndex | tuple[int, int]) -> tup
         idx = WeylIndex(int(idx[0]), int(idx[1]), rho.dim)
     if idx.dim != rho.dim:
         raise ValueError(f"index dimension {idx.dim} does not match state dimension {rho.dim}")
-    jordan, lie = _definition_tables(rho)
-    return float(jordan[idx.k, idx.l]), float(lie[idx.k, idx.l])
+    jordan, lie = _definition_tables(psd_sqrt(rho)[None])
+    return float(jordan[0, idx.k, idx.l]), float(lie[0, idx.k, idx.l])
 
 
-def _definition_tables(rho: DensityState) -> tuple[np.ndarray, np.ndarray]:
-    """Full (J, I) tables over all d^2 phase-space points in O(d^3).
+def _definition_tables(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full (J, I) tables over all d^2 phase-space points of each root S of a stack, in O(d^3).
 
     Conjugation by a displacement is a shift plus a phase,
     (D S D^dag)[a, b] = omega^(l(a-b)) S[a-k, b-k], so
@@ -103,22 +104,34 @@ def _definition_tables(rho: DensityState) -> tuple[np.ndarray, np.ndarray]:
     with F[j, b] = omega^(jb) the cached, symmetric Fourier matrix and *
     the entrywise product.  The outer sum over m is one more product with
     F on the right: six d x d matrix products in all, and no loop over k.
+
+    ``roots`` has shape (n, d, d) and the tables (n, d, d).  Every product
+    broadcasts F against the stack, one product per member, so each member
+    is bitwise what a stack of one gives.  Both checks run on every member,
+    and the errors report the worst one.
     """
-    d = rho.dim
-    s = psd_sqrt(rho)
-    fourier = _table_constants(d)[1]  # [j, b] = omega^(jb), symmetric
-    j = np.arange(d)
-    cols = (j[:, None] + j[None, :]) % d
-    upper = s[j[:, None], cols]  # [b, m] = S[b, b+m]
-    lower = s[cols, j[:, None]]  # [b, m] = S[b+m, b]
-    fu = fourier.conj() @ upper
-    cross = (fourier @ (fu * (fourier @ lower)) @ fourier).real / d
+    n, d = roots.shape[0], roots.shape[-1]
+    # fourier[j, b] = omega^(jb), symmetric
+    fourier, fourier_conj, upper_at, lower_at = _definition_constants(d)
+    # take gathers in C order whatever n is; fancy indexing lays a stack out
+    # by n, and the products would then round differently per stack size.
+    flat = roots.reshape(n, d * d)
+    upper = flat.take(upper_at, axis=1)  # [., b, m] = S[b, b+m]
+    lower = flat.take(lower_at, axis=1)  # [., b, m] = S[b+m, b]
+    fu = fourier_conj @ upper
+    # Each complex product is written out with fu first: numpy reuses a large
+    # temporary operand in place with the operands swapped, the complex
+    # multiply then rounds differently, and a big stack would not be bitwise
+    # its one-row cases.
+    corr = fourier @ lower
+    cross = (fourier @ np.multiply(fu, corr, out=corr) @ fourier).real / d
     jordan, lie = 1.0 + cross, 1.0 - cross
-    norm_sq = hs_norm(s) ** 2
-    norm_cross = (fourier @ (fu * fu.conj()) @ fourier).real / d
+    norm_sq = (_hs_norms(roots) ** 2)[:, None, None]
+    corr = fu.conj()
+    norm_cross = (fourier @ np.multiply(fu, corr, out=corr) @ fourier).real / d
     defect = max(
-        float(np.abs(jordan - (norm_sq + norm_cross)).max()),
-        float(np.abs(lie - (norm_sq - norm_cross)).max()),
+        float(np.abs(jordan - (norm_sq + norm_cross)).max(initial=0.0)),
+        float(np.abs(lie - (norm_sq - norm_cross)).max(initial=0.0)),
     )
     if not defect <= _CROSS_CHECK_TOL:
         raise ArithmeticError(
@@ -127,7 +140,7 @@ def _definition_tables(rho: DensityState) -> tuple[np.ndarray, np.ndarray]:
     # The two forms agree to first order under an anti-Hermitian change of S,
     # so the root's Hermiticity is checked directly: ||S - S^dag|| from the
     # upper diagonals against the conjugated lower ones.
-    asymmetry = hs_norm(upper - lower.conj())
+    asymmetry = float(_hs_norms(upper - lower.conj()).max(initial=0.0))
     if not asymmetry <= _CROSS_CHECK_TOL:
         raise ArithmeticError(
             f"square root is not Hermitian: defect {asymmetry:.3e} exceeds {_CROSS_CHECK_TOL:.1e}"
@@ -135,17 +148,41 @@ def _definition_tables(rho: DensityState) -> tuple[np.ndarray, np.ndarray]:
     return jordan, lie
 
 
+@lru_cache(maxsize=16)
+def _definition_constants(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """F, conj(F) and the flat indices [b, m] of S[b, b+m] and S[b+m, b], built once per d."""
+    j = np.arange(d)
+    cols = (j[:, None] + j[None, :]) % d
+    fourier = _table_constants(d)[1]
+    constants = (fourier.conj(), j[:, None] * d + cols, cols * d + j[:, None])
+    for array in constants:
+        array.setflags(write=False)
+    return (fourier, *constants)
+
+
 def complexity_by_definition(rho: DensityState) -> float:
     """C(rho) summed directly from the per-point products I * J."""
-    jordan, lie = _definition_tables(rho)
-    return float(np.sum(jordan * lie))
+    jordan, lie = _definition_tables(psd_sqrt(rho)[None])
+    return float((jordan * lie).sum())
 
 
 def complexity_by_moments(rho: DensityState) -> float:
-    """C(rho) = d^2 - sum |c(k,l)(sqrt(rho))|^4 from the square-root table."""
-    table = sqrt_char_table(rho)
-    d = rho.dim
-    return float(d * d - np.sum(np.abs(table.values) ** 4))
+    """C(rho) = d^2 - sum |c(k,l)(sqrt(rho))|^4: the one-row case of :func:`_moment_complexities`."""
+    return float(_moment_complexities(psd_sqrt(rho)[None])[0])
+
+
+def _moment_complexities(roots: np.ndarray) -> np.ndarray:
+    """d^2 - sum |c(k,l)(S)|^4 for each root S of a stack (n, d, d).
+
+    Each square-root table is checked (sum |c|^2 = d) as a ``sqrt_state``
+    :class:`~stabc.charfun.CharTable` would be.  The reduction is
+    ``np.abs(c) ** 4``, as printed values have always used;
+    :func:`batch_complexity` keeps its own ``(re^2 + im^2)^2``, which rounds
+    differently.
+    """
+    d = roots.shape[-1]
+    tables = _checked_tables(roots, SOURCE_SQRT_STATE)
+    return d * d - (np.abs(tables) ** 4).sum(axis=(1, 2))
 
 
 @dataclass(frozen=True)
@@ -177,12 +214,13 @@ def complexity_report(rho: DensityState) -> ComplexityReport:
     pure states) the complementarity with the fourth-moment magic witness.
     """
     d = rho.dim
-    jordan, lie = _definition_tables(rho)
+    jordan, lie = _definition_tables(psd_sqrt(rho)[None])
+    jordan, lie = jordan[0], lie[0]
     tradeoff_defect = float(np.abs(jordan + lie - 2.0).max())
     if not tradeoff_defect <= _TRADEOFF_TOL:
         raise ArithmeticError(f"trade-off defect {tradeoff_defect:.3e} exceeds {_TRADEOFF_TOL:.1e}")
 
-    c_def = float(np.sum(jordan * lie))
+    c_def = float((jordan * lie).sum())
     c_mom = complexity_by_moments(rho)
     gap = abs(c_def - c_mom)
     if not gap <= _PATH_GAP_TOL * d * d:
@@ -355,14 +393,14 @@ def batch_complexity(rhos: np.ndarray) -> np.ndarray:
     materialized.
     Every member must be Hermitian and finite: the square root reads only
     the lower triangle, so anything else raises NotHermitianError instead of
-    giving a finite, wrong value.
+    giving a finite, wrong value.  An empty stack gives an empty result.
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {rhos.shape}")
     d = check_dim(rhos.shape[1])
     # NaN or inf makes the defect NaN, which fails the test as well.
-    defect = float(np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max())
+    defect = float(np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max(initial=0.0))
     if not defect <= HERMITIAN_TOL * d:
         raise NotHermitianError(
             f"stack symmetry defect {defect:.3e} exceeds {HERMITIAN_TOL * d:.3e} (or is not finite)"

@@ -7,6 +7,8 @@ All routines target dense double precision at desk scale; dimensions above
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from .errors import DimensionMismatchError, NegativeEigenvalueError, NotHermitianError
@@ -49,6 +51,18 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def _hs_norms(stack: np.ndarray) -> np.ndarray:
+    """:func:`hs_norm` of each member of a complex stack, shape (n, ...) -> (n,).
+
+    Each norm is the dot product over the strided real and imaginary views
+    that ``np.linalg.norm`` takes (a dot over contiguous copies rounds
+    differently), one per member, so it is bitwise ``hs_norm(stack[i])``.
+    """
+    flat = stack.reshape(stack.shape[0], 1, prod(stack.shape[1:]))
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+
+
 class DensityState:
     """A d-dimensional density operator with a write-once cached PSD square root.
 
@@ -73,7 +87,7 @@ class DensityState:
                 raise NotHermitianError(
                     f"density matrix symmetry defect {defect:.3e} exceeds {HERMITIAN_TOL * d:.3e}"
                 )
-            tr = complex(np.trace(rho))
+            tr = complex(rho.trace())
             if abs(tr - 1.0) > TRACE_TOL:
                 raise ValueError(f"trace {tr} is not 1 within {TRACE_TOL:.1e}")
         rho.setflags(write=False)
@@ -92,7 +106,7 @@ class DensityState:
 
     def purity(self) -> float:
         """tr(rho^2)."""
-        return float(np.sum(np.abs(self._rho) ** 2))
+        return float((np.abs(self._rho) ** 2).sum())
 
     def is_pure(self) -> bool:
         """Purity 1 and a rank-one square root, both within PURITY_TOL.
@@ -129,25 +143,38 @@ class DensityState:
 def _pure_rule(state: DensityState, purity: float) -> bool:
     """:meth:`DensityState.is_pure` for a caller that already holds the purity."""
     return purity >= 1.0 - PURITY_TOL and (
-        float(np.trace(psd_sqrt(state)).real) ** 2 - float(np.trace(state.rho).real) <= PURITY_TOL
+        float(psd_sqrt(state).trace().real) ** 2 - float(state.rho.trace().real) <= PURITY_TOL
     )
 
 
 def psd_sqrt(state: DensityState) -> np.ndarray:
     """Square root of a density operator, cached write-once on the state.
 
-    The root comes from :func:`_batch_psd_sqrt` on a stack of one, so a
-    single state and a stack follow the same floor and dust rules; it is
-    checked against rho once, when first computed (at construction for a
-    checked state).
+    The root is the one-row case of :func:`_checked_sqrt_stack`, so a single
+    state and a stack follow the same floor, dust and consistency rules; it
+    is computed once (at construction for a checked state).
     """
     if state._sqrt is None:
-        root = _batch_psd_sqrt(state.rho[None])[0]
-        if hs_norm(root @ root - state.rho) > SQRT_CONSISTENCY_TOL:
-            raise ArithmeticError("square-root consistency check failed")
+        root = _checked_sqrt_stack(state.rho[None])[0]
         root.setflags(write=False)
         state._sqrt = root
     return state._sqrt
+
+
+def _checked_sqrt_stack(rhos: np.ndarray) -> np.ndarray:
+    """:func:`_batch_psd_sqrt` of a stack (n, d, d), every root checked against its member.
+
+    ||S^2 - rho|| <= SQRT_CONSISTENCY_TOL must hold for each member (NaN
+    fails), else ArithmeticError; the error reports the worst residual.
+    """
+    roots = _batch_psd_sqrt(rhos)
+    residual = float(_hs_norms(roots @ roots - rhos).max(initial=0.0))
+    if not residual <= SQRT_CONSISTENCY_TOL:
+        raise ArithmeticError(
+            f"square-root consistency check failed: residual {residual:.3e} "
+            f"exceeds {SQRT_CONSISTENCY_TOL:.1e}"
+        )
+    return roots
 
 
 def mix(states: list[DensityState] | tuple[DensityState, ...], weights) -> DensityState:
@@ -175,17 +202,14 @@ def random_pure_vectors(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     Each row is a standard complex Gaussian vector (d real parts, then d
     imaginary parts) divided by its norm, all from one
     ``rng.standard_normal((n, 2, d))`` draw.  That draw reads the generator
-    exactly as n one-vector draws in sequence, and each norm is the dot
-    product over the strided real and imaginary views that
-    ``np.linalg.norm`` takes (a dot over contiguous copies rounds
-    differently), so the rows are bitwise those of n sequential draws.
+    exactly as n one-vector draws in sequence, and each norm is bitwise
+    ``np.linalg.norm`` (:func:`_hs_norms`), so the rows are bitwise those of
+    n sequential draws.
     """
     d = check_dim(d)
     x = rng.standard_normal((int(n), 2, d))
     v = x[:, 0] + 1j * x[:, 1]
-    re, im = v.real, v.imag
-    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-    return v / np.sqrt(sq[:, 0])
+    return v / _hs_norms(v)[:, None]
 
 
 def random_pure_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -277,12 +301,12 @@ def _batch_psd_sqrt(rhos: np.ndarray) -> np.ndarray:
     below SQRT_RANK_RCOND of the member's largest are zeroed.  d >= 3 uses
     one stacked ``eigh`` and rebuilds each root as one matrix product; d = 2
     uses the closed form S = (rho + sqrt(l+ l-) 1) / (sqrt(l+) + sqrt(l-)),
-    which needs no eigenvectors.
+    which needs no eigenvectors.  An empty stack has an empty stack of roots.
     """
     if rhos.shape[-1] == 2:
         return _qubit_psd_sqrt(rhos)
     w, v = np.linalg.eigh(rhos)
-    if float(w.min()) < EIGENVALUE_FLOOR:
+    if float(w.min(initial=0.0)) < EIGENVALUE_FLOOR:
         raise NegativeEigenvalueError(
             f"eigenvalue {w.min():.3e} below tolerated floor {EIGENVALUE_FLOOR:.1e}"
         )
@@ -302,7 +326,7 @@ def _qubit_psd_sqrt(rhos: np.ndarray) -> np.ndarray:
     # det / l+ rather than tr - l+, which cancels for near-pure states; where
     # l+ <= 0 there is nothing to divide by and nothing to cancel.
     lam_minus = np.divide(a * c - b2, lam_plus, out=(a + c) - lam_plus, where=lam_plus > 0)
-    if float(lam_minus.min()) < EIGENVALUE_FLOOR:
+    if float(lam_minus.min(initial=0.0)) < EIGENVALUE_FLOOR:
         raise NegativeEigenvalueError(
             f"eigenvalue {lam_minus.min():.3e} below tolerated floor {EIGENVALUE_FLOOR:.1e}"
         )

@@ -15,11 +15,19 @@ from itertools import product
 
 import numpy as np
 
-from .charfun import char_table, lp_moment, reconstruct, sqrt_char_table
+from .charfun import (
+    SOURCE_SQRT_STATE,
+    SOURCE_STATE,
+    _checked_tables,
+    _lp_moments,
+    char_table,
+    reconstruct,
+)
 from .complexity import (
     RhoPFamily,
+    _definition_tables,
+    _moment_complexities,
     batch_complexity,
-    complexity_by_definition,
     complexity_by_moments,
     complexity_report,
     complexity_upper_bound,
@@ -35,6 +43,7 @@ from .complexity import (
 )
 from .matcore import (
     DensityState,
+    _checked_sqrt_stack,
     haar_unitary,
     hs_norm,
     psd_sqrt,
@@ -83,13 +92,17 @@ def _leq(check_id: str, observed: float, tol: float, note: str = "") -> CheckRes
     return CheckResult(check_id, float(observed), float(tol), bool(observed <= tol), note)
 
 
-def _states(rhos: np.ndarray) -> list[DensityState]:
-    return [DensityState(rho, check=False) for rho in rhos]
-
-
-def _sample_states(d: int, n: int, rng: np.random.Generator) -> list[DensityState]:
+def _sample_block(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Deterministic mix of pure, rank-2 and full-rank states, drawn as one block."""
-    return _states(random_mixed_stack(d, [(1, min(2, d), d)[i % 3] for i in range(n)], rng))
+    return random_mixed_stack(d, [(1, min(2, d), d)[i % 3] for i in range(n)], rng)
+
+
+def _block_complexities(rhos: np.ndarray) -> np.ndarray:
+    """Moment-route C of every member of a block: one root kernel, every root and table checked.
+
+    Bitwise what ``complexity_by_moments`` gives one state at a time.
+    """
+    return _moment_complexities(_checked_sqrt_stack(rhos))
 
 
 # -- suites -------------------------------------------------------------------
@@ -159,27 +172,22 @@ def suite_charfun(dims=None, samples=None, seed=0) -> list[CheckResult]:
             worst_parseval = max(worst_parseval, abs(total - d * float(np.vdot(a, a).real)))
         results.append(_leq(f"charfun-parseval-d{d}", worst_parseval, 1e-9))
 
-        worst_norm = 0.0
-        for state in _sample_states(d, n, rng):
-            total = float(np.sum(np.abs(sqrt_char_table(state).values) ** 2))
-            worst_norm = max(worst_norm, abs(total - d))
-        results.append(_leq(f"charfun-sqrt-table-normalization-d{d}", worst_norm, 1e-8))
+        roots = _checked_sqrt_stack(_sample_block(d, n, rng))
+        totals = np.sum(np.abs(_checked_tables(roots, SOURCE_SQRT_STATE)) ** 2, axis=(1, 2))
+        results.append(_leq(f"charfun-sqrt-table-normalization-d{d}",
+                            np.abs(totals - d).max(), 1e-8))
 
-        worst_collapse = 0.0
-        for state in _states(random_pure_stack(d, 20, rng)):
-            worst_collapse = max(
-                worst_collapse,
-                float(np.abs(char_table(state).values - sqrt_char_table(state).values).max()),
-            )
-        results.append(_leq(f"charfun-pure-table-collapse-d{d}", worst_collapse, 1e-10))
+        pure = random_pure_stack(d, 20, rng)
+        collapse = (_checked_tables(pure, SOURCE_STATE)
+                    - _checked_tables(_checked_sqrt_stack(pure), SOURCE_SQRT_STATE))
+        results.append(_leq(f"charfun-pure-table-collapse-d{d}", np.abs(collapse).max(), 1e-10))
 
         lo = (1 + (d - 1) / (d + 1)) ** 0.25
         hi = d**0.25
-        worst_out = 0.0
-        for state in _states(random_pure_stack(d, 500 if samples is None else n, rng)):
-            m4 = lp_moment(char_table(state), 4.0)
-            worst_out = max(worst_out, lo - m4, m4 - hi)
-        results.append(_leq(f"charfun-pure-moment4-bracket-d{d}", worst_out, 1e-9))
+        pure = random_pure_stack(d, 500 if samples is None else n, rng)
+        m4 = _lp_moments(_checked_tables(pure, SOURCE_STATE), 4.0)
+        results.append(_leq(f"charfun-pure-moment4-bracket-d{d}",
+                            max(0.0, (lo - m4).max(), (m4 - hi).max()), 1e-9))
     return results
 
 
@@ -190,8 +198,8 @@ def suite_tradeoff(dims=None, samples=None, seed=0) -> list[CheckResult]:
     results = []
     for d in dims:
         worst = 0.0
-        for state in _sample_states(d, n, rng):
-            rep = complexity_report(state)
+        for rho in _sample_block(d, n, rng):
+            rep = complexity_report(DensityState(rho, check=False))
             worst = max(worst, float(np.abs(rep.jordan_table + rep.lie_table - 2.0).max()))
         results.append(_leq(f"tradeoff-sum-defect-d{d}", worst, 1e-10))
     return results
@@ -203,10 +211,10 @@ def suite_dual_path(dims=None, samples=None, seed=0) -> list[CheckResult]:
     rng = _rng_for(seed, 4)
     results = []
     for d in dims:
-        worst = 0.0
-        for state in _sample_states(d, n, rng):
-            worst = max(worst, abs(complexity_by_definition(state) - complexity_by_moments(state)))
-        results.append(_leq(f"dual-path-gap-d{d}", worst, 1e-9 * d * d))
+        roots = _checked_sqrt_stack(_sample_block(d, n, rng))
+        jordan, lie = _definition_tables(roots)
+        gap = np.abs(np.sum(jordan * lie, axis=(1, 2)) - _moment_complexities(roots))
+        results.append(_leq(f"dual-path-gap-d{d}", gap.max(), 1e-9 * d * d))
     return results
 
 
@@ -241,11 +249,9 @@ def suite_clifford(dims=None, samples=None, seed=0) -> list[CheckResult]:
         table = clifford_conjugation_table(f)
         results.append(CheckResult(f"clifford-fourier-table-d{d}", 1.0 if table else 0.0,
                                    None, table is not None, "1 = conjugation table exists"))
-        worst = 0.0
-        for state in _sample_states(d, n, rng):
-            rotated = DensityState(f @ state.rho @ f.conj().T, check=False)
-            worst = max(worst, abs(complexity_by_moments(rotated) - complexity_by_moments(state)))
-        results.append(_leq(f"clifford-invariance-gap-d{d}", worst, 1e-9))
+        rhos = _sample_block(d, n, rng)
+        gap = np.abs(_block_complexities(f @ rhos @ f.conj().T) - _block_complexities(rhos))
+        results.append(_leq(f"clifford-invariance-gap-d{d}", gap.max(), 1e-9))
 
         u = haar_unitary(d, rng)
         haar_table = clifford_conjugation_table(u)
@@ -273,9 +279,7 @@ def suite_complementarity(dims=None, samples=None, seed=0) -> list[CheckResult]:
     results = []
     for d in dims:
         rhos = random_pure_stack(d, n, rng)
-        m4_fourth = np.array(
-            [float(np.sum(np.abs(char_table(s).values) ** 4)) for s in _states(rhos)]
-        )
+        m4_fourth = np.sum(np.abs(_checked_tables(rhos, SOURCE_STATE)) ** 4, axis=(1, 2))
         c = batch_complexity(rhos)
         worst = float(np.abs(m4_fourth + c - d * d).max())
         results.append(_leq(f"complementarity-pure-sum-defect-d{d}", worst, 1e-8))
@@ -287,15 +291,15 @@ def suite_qubit(dims=None, samples=None, seed=0) -> list[CheckResult]:
         raise ValueError(f"the qubit suite covers d = 2 only, got dimensions {list(dims)}")
     n = int(samples) if samples else 1000
     rng = _rng_for(seed, 8)
-    worst = 0.0
+    bloch = []
     for i in range(n):
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         radius = 1.0 if i % 2 == 0 else float(rng.uniform() ** (1 / 3))
-        b = BlochVector(*(radius * direction))
-        gap = abs(complexity_by_moments(bloch_to_state(b)) - qubit_complexity(b))
-        worst = max(worst, gap)
-    return [_leq("qubit-closed-form-gap", worst, 1e-9)]
+        bloch.append(BlochVector(*(radius * direction)))
+    closed = np.array([qubit_complexity(b) for b in bloch])
+    c = _block_complexities(np.array([bloch_to_state(b).rho for b in bloch]))
+    return [_leq("qubit-closed-form-gap", np.abs(c - closed).max(), 1e-9)]
 
 
 def suite_rho_p(dims=None, seed=0) -> list[CheckResult]:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from helpers import naive_char_table, random_hermitian
@@ -149,6 +151,28 @@ def test_moment_rejects_bad_exponent_and_generic_tables():
             lp_moment(t, bad)
     with pytest.raises(ValueError):
         lp_moment(char_table(np.eye(2, dtype=complex)), 4.0)
+
+
+def test_moment_refuses_infinite_and_overflowing_exponents():
+    # The largest |c| of this table is sqrt(7) = 2.6458, the value every large p
+    # tends to; p = inf once returned 1.0 and p = 1e6 returned inf.
+    t = sqrt_char_table(DensityState.maximally_mixed(7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                lp_moment(t, bad)
+        with pytest.raises(ValueError, match="p = 1000000.0 overflows"):
+            lp_moment(t, 1e6)
+        assert lp_moment(t, 400.0) == pytest.approx(np.sqrt(7), rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.5, 4.0, 400.0])
+def test_moment_values_are_the_plain_power_sum(p):
+    # The overflow guard changes no finite value: printed m4 columns carry the bits.
+    for table in (sqrt_char_table(random_mixed(5, 2, 3)), char_table(random_pure(7, 4))):
+        expected = float(np.sum(np.abs(table.values) ** p) ** (1.0 / p))
+        assert lp_moment(table, p) == expected
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

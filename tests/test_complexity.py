@@ -41,7 +41,8 @@ from stabc import (
     rho_p_state,
     weyl_matrix,
 )
-from stabc.complexity import _definition_tables
+from stabc.complexity import _definition_tables, _moment_complexities
+from stabc.matcore import _checked_sqrt_stack, random_mixed_stack
 
 T_STATE = bloch_to_state(BlochVector(*(np.ones(3) / np.sqrt(3))))
 
@@ -164,11 +165,11 @@ def test_definition_tables_match_naive_oracle_at_asymmetric_points_d64():
 def test_definition_tables_allocate_no_large_temporaries():
     # A d x d complex array is 64 KiB at d = 64; a 2d x d one reaches glibc's
     # 128 KiB mmap threshold and faults in fresh pages on every call.
-    state = random_mixed(64, 64, 7)
-    _definition_tables(state)  # caches the root and the Fourier matrix
+    roots = psd_sqrt(random_mixed(64, 64, 7))[None]
+    _definition_tables(roots)  # caches the Fourier matrix
     tracemalloc.start()
     try:
-        _definition_tables(state)
+        _definition_tables(roots)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -566,6 +567,70 @@ def test_near_rank_deficient_states(d, log_ratio, seed):
         assert rep.path_gap <= 1e-9 * d * d
         assert -1e-9 <= rep.c_value <= complexity_upper_bound(d) + 1e-9
         assert abs(c_batch - complexity_by_moments(state)) <= 1e-9 * d * d
+
+
+def _mixed_rank_roots(d, n, seed):
+    rng = np.random.default_rng(seed)
+    return _checked_sqrt_stack(random_mixed_stack(d, (np.arange(n) % d) + 1, rng))
+
+
+def _state_with_root(root):
+    # Plants the root in the write-once cache the scalar paths read.
+    state = DensityState(np.eye(len(root)) / len(root), check=False)
+    state._sqrt = root
+    return state
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16, 64])
+def test_stacked_kernels_are_bitwise_the_one_row_case(d):
+    # The scalar paths are stacks of one; a block must give every member the
+    # same bits, or the verify rows built on blocks would move.
+    roots = _mixed_rank_roots(d, 7 if d == 64 else 12, d)
+    jordan, lie = _definition_tables(roots)
+    moments = _moment_complexities(roots)
+    for i, root in enumerate(roots):
+        one_j, one_l = _definition_tables(root[None])
+        assert np.array_equal(jordan[i], one_j[0]) and np.array_equal(lie[i], one_l[0])
+        state = _state_with_root(root)
+        assert moments[i] == complexity_by_moments(state)
+        assert float(np.sum(jordan[i] * lie[i])) == complexity_by_definition(state)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_stacked_kernels_refuse_a_corrupted_member_as_the_scalar_path(d):
+    roots = _mixed_rank_roots(d, 5, d + 1)
+    skewed = roots.copy()
+    skewed[3, 0, 0] += 1e-6j  # not Hermitian: passes trace/norm at first order
+    with pytest.raises(ArithmeticError, match="not Hermitian"):
+        _definition_tables(skewed)
+    with pytest.raises(ArithmeticError, match="not Hermitian"):
+        complexity_by_definition(_state_with_root(skewed[3]))
+
+    scaled = roots.copy()
+    scaled[2] *= 1.01  # its table has sum |c|^2 = 1.0201 d
+    with pytest.raises(ValueError, match="square-root table"):
+        _moment_complexities(scaled)
+    with pytest.raises(ValueError, match="square-root table"):
+        complexity_by_moments(_state_with_root(scaled[2]))
+
+    # A member whose lower triangle is not its matrix fails the root check.
+    rhos = random_mixed_stack(d, [1, d, 2], np.random.default_rng(d))
+    rhos[1, 0, 1] += 1e-6
+    with pytest.raises(ArithmeticError, match="consistency"):
+        _checked_sqrt_stack(rhos)
+    with pytest.raises(ArithmeticError, match="consistency"):
+        psd_sqrt(DensityState(rhos[1], check=False))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_empty_stacks_give_empty_results(d):
+    empty = random_mixed_stack(d, [], np.random.default_rng(0))
+    assert batch_complexity(empty).shape == (0,)
+    assert batch_complexity(np.zeros((0, d, d))).shape == (0,)
+    roots = _checked_sqrt_stack(empty)
+    assert roots.shape == (0, d, d)
+    assert _moment_complexities(roots).shape == (0,)
+    assert all(table.shape == (0, d, d) for table in _definition_tables(roots))
 
 
 def test_batch_complexity_validates_shape():

@@ -1,9 +1,12 @@
 """Work-shape guards on the verify suites: how often they call the state
-samplers and the Weyl operator builder."""
+samplers, the root kernel and the Weyl operator builder; and the dimensions
+every suite accepts."""
+
+import inspect
 
 import pytest
 
-from stabc import verify, weyl
+from stabc import charfun, complexity, matcore, verify, weyl
 
 SAMPLERS = ("random_pure", "random_mixed", "random_pure_stack", "random_mixed_stack",
             "random_rank_mixed_stack")
@@ -33,6 +36,38 @@ def test_suites_draw_samples_per_block_not_per_state(monkeypatch, suite):
     rows = verify.SUITES[suite](dims=dims, samples=40, seed=0)
     assert rows and all(r.passed for r in rows), rows
     assert 1 <= calls[0] <= 17 * len(dims)
+
+
+@pytest.mark.parametrize("suite", ["charfun", "complementarity", "qubit", "dual-path", "clifford"])
+def test_suites_evaluate_samples_per_block_not_per_state(monkeypatch, suite):
+    # Doubling the samples must not add calls of the root kernel or of the
+    # table kernel: each block is one stacked call, however many states it holds.
+    dims = (2,) if suite == "qubit" else (2, 3)
+    calls = {}
+    for samples in (40, 80):
+        roots, tables = [0], [0]
+        with monkeypatch.context() as patch:
+            _count_calls(patch, [matcore, complexity], "_batch_psd_sqrt", roots)
+            _count_calls(patch, [weyl, charfun, complexity], "weyl_coefficient_table", tables)
+            rows = verify.SUITES[suite](dims=dims, samples=samples, seed=0)
+        assert rows and all(r.passed for r in rows), rows
+        calls[samples] = (roots[0], tables[0])
+    assert calls[40] == calls[80]
+    assert calls[40][0] >= 1
+
+
+@pytest.mark.parametrize("d", [6, 7, 16])
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_every_suite_passes_or_refuses_each_dimension(suite, d):
+    # A refusal is a ValueError, which the CLI maps to exit 2; a suite that
+    # accepts the dimension must pass every row.
+    samples = 4 if "samples" in inspect.signature(verify.SUITES[suite]).parameters else None
+    try:
+        runs = verify.run_suites([suite], dims=[d], samples=samples, seed=0)
+    except ValueError:
+        return
+    rows = [row for _, suite_rows in runs for row in suite_rows]
+    assert rows and all(r.passed for r in rows), rows
 
 
 def test_weyl_suite_builds_each_operator_once_per_row(monkeypatch):
