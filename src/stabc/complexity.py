@@ -36,11 +36,12 @@ from .matcore import (
     SQRT_RANK_RCOND,
     DensityState,
     _batch_psd_sqrt,
+    _ginibre_normals,
+    _ginibre_stack,
     _hs_norms,
     _pure_rule,
     check_dim,
     psd_sqrt,
-    random_mixed_stack,
 )
 from .states import BlochVector
 from .weyl import WeylIndex, _table_constants, weyl_coefficient_table
@@ -426,6 +427,7 @@ class ConvexityViolation:
 _WITNESS_INDEX = -1
 _CONVEXITY_TOL = 1e-9
 _SCAN_CHUNK = 32768
+_SCAN_BLOCK = 4096
 
 
 def convexity_witness_states(d: int) -> tuple[DensityState, DensityState, float]:
@@ -449,8 +451,14 @@ def convexity_scan(d: int, samples: int, seed) -> list[ConvexityViolation]:
     uniform on {1, .., d} and lambda uniform on (0, 1), and records each
     C(lam rho_1 + (1-lam) rho_2) > lam C(rho_1) + (1-lam) C(rho_2) + 1e-9,
     in sample order.  For d = 2 the expected outcome is an empty list.
+
+    The triples are drawn in chunks of ``_SCAN_CHUNK`` and evaluated in
+    cache-sized blocks (:func:`_scan_chunk`); stream and values are those of
+    whole-chunk stacks.
     """
     d = check_dim(d)
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     samples = int(samples)
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
@@ -464,22 +472,33 @@ def convexity_scan(d: int, samples: int, seed) -> list[ConvexityViolation]:
     if c_mix > c_avg + _CONVEXITY_TOL:
         violations.append(ConvexityViolation(_WITNESS_INDEX, lam, c_mix, c_avg))
 
-    done = 0
-    while done < samples:
-        n = min(_SCAN_CHUNK, samples - done)
-        ranks_a = rng.integers(1, d + 1, size=n)
-        ranks_b = rng.integers(1, d + 1, size=n)
-        rho_a = random_mixed_stack(d, ranks_a, rng)
-        rho_b = random_mixed_stack(d, ranks_b, rng)
-        lam = rng.uniform(size=n)
-        mixtures = lam[:, None, None] * rho_a + (1 - lam)[:, None, None] * rho_b
+    for done in range(0, samples, _SCAN_CHUNK):
+        violations += _scan_chunk(d, min(_SCAN_CHUNK, samples - done), rng, done)
+    return violations
+
+
+def _scan_chunk(d: int, n: int, rng: np.random.Generator, offset: int) -> list[ConvexityViolation]:
+    """Violations among n triples drawn at once, indexed from ``offset``.
+
+    Both rank vectors, the normals random_mixed_stack draws for every rho_1,
+    then every rho_2, and lambda are drawn first; blocks of ``_SCAN_BLOCK``
+    states are then built from those normals and evaluated.
+    """
+    ranks = [rng.integers(1, d + 1, size=n) for _ in range(2)]
+    normals = [_ginibre_normals(d, r, rng) for r in ranks]
+    lam = rng.uniform(size=n)
+    violations = []
+    for lo in range(0, n, _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, n)
+        rho_a, rho_b = (_ginibre_stack(d, r[lo:hi], x, s[lo:hi])
+                        for r, (x, s) in zip(ranks, normals))
+        w = lam[lo:hi]
+        mixtures = w[:, None, None] * rho_a + (1 - w)[:, None, None] * rho_b
         c_mix = batch_complexity(mixtures)
-        c_avg = lam * batch_complexity(rho_a) + (1 - lam) * batch_complexity(rho_b)
+        c_avg = w * batch_complexity(rho_a) + (1 - w) * batch_complexity(rho_b)
         for i in np.flatnonzero(c_mix > c_avg + _CONVEXITY_TOL):
-            violations.append(
-                ConvexityViolation(done + int(i), float(lam[i]), float(c_mix[i]), float(c_avg[i]))
-            )
-        done += n
+            violations.append(ConvexityViolation(
+                offset + lo + int(i), float(w[i]), float(c_mix[i]), float(c_avg[i])))
     return violations
 
 

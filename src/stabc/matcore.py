@@ -238,7 +238,7 @@ def random_mixed_stack(d: int, ranks, rng: np.random.Generator) -> np.ndarray:
     bad = ranks[(ranks < 1) | (ranks > d)]
     if bad.size:
         raise ValueError(f"rank must be in [1, {d}], got {bad[0]}")
-    return _ginibre_stack(d, ranks, rng.standard_normal(2 * d * int(ranks.sum())))
+    return _ginibre_stack(d, ranks, *_ginibre_normals(d, ranks, rng))
 
 
 def random_rank_mixed_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -254,17 +254,30 @@ def random_rank_mixed_stack(d: int, n: int, rng: np.random.Generator) -> np.ndar
     for i in range(ranks.size):
         ranks[i] = rng.integers(1, d + 1)
         draws.append(rng.standard_normal(2 * d * ranks[i]))
-    return _ginibre_stack(d, ranks, np.concatenate(draws))
+    return _ginibre_stack(d, ranks, np.concatenate(draws), _ginibre_starts(d, ranks))
 
 
-def _ginibre_stack(d: int, ranks: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Trace-normalized Grams of the Ginibre factors laid out back to back in ``normals``.
+def _ginibre_starts(d: int, ranks: np.ndarray) -> np.ndarray:
+    """Offset of each member's 2 d r_i normals when laid out back to back."""
+    sizes = 2 * d * ranks
+    return np.cumsum(sizes) - sizes
+
+
+def _ginibre_normals(d: int, ranks: np.ndarray, rng: np.random.Generator):
+    """All normals of the Ginibre factors of ``ranks`` in one draw, and their offsets."""
+    return rng.standard_normal(2 * d * int(ranks.sum())), _ginibre_starts(d, ranks)
+
+
+def _ginibre_stack(
+    d: int, ranks: np.ndarray, normals: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Trace-normalized Grams of the Ginibre factors at offsets ``starts`` of ``normals``.
 
     One batched product per distinct rank; each member's product and trace
-    round exactly as the single-matrix ``g @ g.conj().T`` and ``np.trace``.
+    round exactly as the single-matrix ``g @ g.conj().T`` and ``np.trace``,
+    and the stack is normalized in place.
     """
     out = np.empty((ranks.size, d, d), dtype=complex)
-    starts = np.cumsum(2 * d * ranks) - 2 * d * ranks
     # np.flatnonzero(np.bincount(...)) lists the distinct ranks; np.unique would
     # import numpy.ma (~14 ms and ~1.3 MB per process).
     for r in np.flatnonzero(np.bincount(ranks)):
@@ -272,7 +285,7 @@ def _ginibre_stack(d: int, ranks: np.ndarray, normals: np.ndarray) -> np.ndarray
         blocks = normals[starts[members][:, None] + np.arange(2 * d * r)]
         g = blocks[:, : d * r].reshape(-1, d, r) + 1j * blocks[:, d * r :].reshape(-1, d, r)
         out[members] = g @ g.conj().swapaxes(-1, -2)
-    return out / np.trace(out, axis1=1, axis2=2).real[:, None, None]
+    return np.divide(out, np.trace(out, axis1=1, axis2=2).real[:, None, None], out=out)
 
 
 def random_mixed(d: int, rank: int, seed) -> DensityState:

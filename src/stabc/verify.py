@@ -142,10 +142,15 @@ def suite_weyl(dims=None, seed=0) -> list[CheckResult]:
         rho = random_mixed(d, d, rng)
         base = complexity_by_moments(rho)
         phases = np.exp(2j * np.pi * rng.uniform(size=(d, d)))
-        # tr(D(k,l) S) from explicit operators, one shift k at a time, so the
-        # row stays independent of weyl_coefficient_table.
-        shifts = (np.array([weyl_matrix(d, k, l) for l in range(d)]) for k in range(d))
-        table = np.array([np.einsum("lij,ji->l", ops, psd_sqrt(rho)) for ops in shifts]) * phases
+        # tr(D(k,l) S) from explicit operators, one shift k at a time in one
+        # reused buffer, so the row stays independent of weyl_coefficient_table.
+        ops = np.empty((d, d, d), dtype=complex)
+        table = np.empty((d, d), dtype=complex)
+        for k in range(d):
+            for l in range(d):
+                ops[l] = weyl_matrix(d, k, l)
+            table[k] = np.einsum("lij,ji->l", ops, psd_sqrt(rho))
+        table *= phases
         rephased = d * d - float(np.sum(np.abs(table) ** 4))
         # Both values are C ~ d^2, so rounding scales with d^2 (3 ulp at d = 64).
         results.append(_leq(f"weyl-phase-convention-independence-d{d}", abs(rephased - base),

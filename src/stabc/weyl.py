@@ -186,8 +186,10 @@ def weyl_basis_check(d: int) -> bool:
     """
     d = check_dim(d)
     j = np.arange(d)
+    ops = np.empty((d, d, d), dtype=complex)  # [l] = D(k, l), refilled per shift
     for k in range(d):
-        ops = np.array([weyl_matrix(d, k, l) for l in range(d)])
+        for l in range(d):
+            ops[l] = weyl_matrix(d, k, l)
         phases = ops[:, (j + k) % d, j]  # [l, j]
         if np.count_nonzero(ops) != d * d or np.count_nonzero(phases) != d * d:
             return False

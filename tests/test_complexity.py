@@ -41,7 +41,8 @@ from stabc import (
     rho_p_state,
     weyl_matrix,
 )
-from stabc.complexity import _definition_tables, _moment_complexities
+from stabc import complexity
+from stabc.complexity import _SCAN_CHUNK, _definition_tables, _moment_complexities
 from stabc.matcore import _checked_sqrt_stack, random_mixed_stack
 
 T_STATE = bloch_to_state(BlochVector(*(np.ones(3) / np.sqrt(3))))
@@ -445,6 +446,60 @@ def test_convexity_scan_finds_witness_d3():
 def test_convexity_scan_rejects_negative_samples():
     with pytest.raises(ValueError, match="samples"):
         convexity_scan(3, -5, 7)
+
+
+@pytest.mark.parametrize("samples", [2.9, np.float64(3.5), True, np.bool_(True), float("inf"),
+                                     "3", None])
+def test_convexity_scan_refuses_non_integral_samples(samples):
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        convexity_scan(2, samples, 7)
+
+
+def test_convexity_scan_accepts_numpy_integers():
+    assert convexity_scan(2, np.int64(3), 7) == convexity_scan(2, 3, 7) == []
+
+
+def _whole_chunk_scan(d, samples, seed):
+    # The scan as whole-chunk stacks: each chunk's states drawn by
+    # random_mixed_stack and evaluated by batch_complexity in one call.
+    rng = np.random.default_rng(seed)
+    rows = []
+    for done in range(0, samples, _SCAN_CHUNK):
+        n = min(_SCAN_CHUNK, samples - done)
+        ranks_a = rng.integers(1, d + 1, size=n)
+        ranks_b = rng.integers(1, d + 1, size=n)
+        rho_a = random_mixed_stack(d, ranks_a, rng)
+        rho_b = random_mixed_stack(d, ranks_b, rng)
+        lam = rng.uniform(size=n)
+        c_mix = batch_complexity(lam[:, None, None] * rho_a + (1 - lam)[:, None, None] * rho_b)
+        c_avg = lam * batch_complexity(rho_a) + (1 - lam) * batch_complexity(rho_b)
+        rows += [(done + i, float(lam[i]), float(c_mix[i]), float(c_avg[i])) for i in range(n)]
+    return rows
+
+
+@pytest.mark.parametrize("d,samples", [(2, _SCAN_CHUNK + 5000), (3, 5000), (5, 2000)])
+def test_convexity_scan_is_bitwise_whole_chunk_stacks(monkeypatch, d, samples):
+    # With the tolerance at -inf every sample is recorded, so the stream, the
+    # sample order and every value are compared, across chunk and block edges.
+    monkeypatch.setattr(complexity, "_CONVEXITY_TOL", -np.inf)
+    got = [(v.index, v.lam, v.c_mixture, v.c_average)
+           for v in convexity_scan(d, samples, 23) if v.index >= 0]
+    assert len(got) == samples
+    assert got == _whole_chunk_scan(d, samples, 23)
+
+
+def test_convexity_scan_memory_is_bounded():
+    # Whole 20000-member stacks peaked at 17.9 MiB; the blocked scan holds
+    # one chunk's normals and one block's states.
+    seed = np.random.SeedSequence([0, 9, 3])
+    convexity_scan(3, 1, seed)  # builds the per-d constants
+    tracemalloc.start()
+    try:
+        convexity_scan(3, 20000, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_convexity_scan_d2_clean():
