@@ -36,12 +36,12 @@ from .matcore import (
     SQRT_RANK_RCOND,
     DensityState,
     _batch_psd_sqrt,
-    _ginibre_normals,
-    _ginibre_stack,
+    _check_int,
     _hs_norms,
     _pure_rule,
     check_dim,
     psd_sqrt,
+    random_mixed_stack,
 )
 from .states import BlochVector
 from .weyl import WeylIndex, _table_constants, weyl_coefficient_table
@@ -72,7 +72,7 @@ def jordan_lie_terms(rho: DensityState, idx: WeylIndex | tuple[int, int]) -> tup
     root-Hermiticity checks of :func:`_definition_tables` cover the call.
     """
     if not isinstance(idx, WeylIndex):
-        idx = WeylIndex(int(idx[0]), int(idx[1]), rho.dim)
+        idx = WeylIndex(idx[0], idx[1], rho.dim)
     if idx.dim != rho.dim:
         raise ValueError(f"index dimension {idx.dim} does not match state dimension {rho.dim}")
     jordan, lie = _definition_tables(psd_sqrt(rho)[None])
@@ -426,7 +426,6 @@ class ConvexityViolation:
 
 _WITNESS_INDEX = -1
 _CONVEXITY_TOL = 1e-9
-_SCAN_CHUNK = 32768
 _SCAN_BLOCK = 4096
 
 
@@ -452,54 +451,38 @@ def convexity_scan(d: int, samples: int, seed) -> list[ConvexityViolation]:
     C(lam rho_1 + (1-lam) rho_2) > lam C(rho_1) + (1-lam) C(rho_2) + 1e-9,
     in sample order.  For d = 2 the expected outcome is an empty list.
 
-    The triples are drawn in chunks of ``_SCAN_CHUNK`` and evaluated in
-    cache-sized blocks (:func:`_scan_chunk`); stream and values are those of
-    whole-chunk stacks.
+    The triples are drawn and evaluated in blocks of ``_SCAN_BLOCK``.  Each
+    block draws the ranks of its rho_1, then the rho_1 themselves
+    (:func:`~stabc.matcore.random_mixed_stack`), the same for rho_2, and
+    then the lambdas.
     """
     d = check_dim(d)
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
-        raise ValueError(f"samples must be an integer, got {samples!r}")
-    samples = int(samples)
+    samples = _check_int(samples, "samples")
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
     rng = np.random.default_rng(seed)
-    violations: list[ConvexityViolation] = []
-
     rho_a, rho_b, lam = convexity_witness_states(d)
-    mixture = DensityState(lam * rho_a.rho + (1 - lam) * rho_b.rho, check=False)
-    c_mix = complexity_by_moments(mixture)
-    c_avg = lam * complexity_by_moments(rho_a) + (1 - lam) * complexity_by_moments(rho_b)
-    if c_mix > c_avg + _CONVEXITY_TOL:
-        violations.append(ConvexityViolation(_WITNESS_INDEX, lam, c_mix, c_avg))
-
-    for done in range(0, samples, _SCAN_CHUNK):
-        violations += _scan_chunk(d, min(_SCAN_CHUNK, samples - done), rng, done)
+    violations = _scan_block(_WITNESS_INDEX, rho_a.rho[None], rho_b.rho[None], np.array([lam]))
+    for first in range(0, samples, _SCAN_BLOCK):
+        n = min(_SCAN_BLOCK, samples - first)
+        rho_a, rho_b = (random_mixed_stack(d, rng.integers(1, d + 1, size=n), rng)
+                        for _ in range(2))
+        violations += _scan_block(first, rho_a, rho_b, rng.uniform(size=n))
     return violations
 
 
-def _scan_chunk(d: int, n: int, rng: np.random.Generator, offset: int) -> list[ConvexityViolation]:
-    """Violations among n triples drawn at once, indexed from ``offset``.
+def _scan_block(
+    first: int, rho_a: np.ndarray, rho_b: np.ndarray, lam: np.ndarray
+) -> list[ConvexityViolation]:
+    """Violations among the block's mixtures lam rho_a + (1 - lam) rho_b, indexed from ``first``.
 
-    Both rank vectors, the normals random_mixed_stack draws for every rho_1,
-    then every rho_2, and lambda are drawn first; blocks of ``_SCAN_BLOCK``
-    states are then built from those normals and evaluated.
+    The one copy of the convexity rule: the witness is a block of one.
     """
-    ranks = [rng.integers(1, d + 1, size=n) for _ in range(2)]
-    normals = [_ginibre_normals(d, r, rng) for r in ranks]
-    lam = rng.uniform(size=n)
-    violations = []
-    for lo in range(0, n, _SCAN_BLOCK):
-        hi = min(lo + _SCAN_BLOCK, n)
-        rho_a, rho_b = (_ginibre_stack(d, r[lo:hi], x, s[lo:hi])
-                        for r, (x, s) in zip(ranks, normals))
-        w = lam[lo:hi]
-        mixtures = w[:, None, None] * rho_a + (1 - w)[:, None, None] * rho_b
-        c_mix = batch_complexity(mixtures)
-        c_avg = w * batch_complexity(rho_a) + (1 - w) * batch_complexity(rho_b)
-        for i in np.flatnonzero(c_mix > c_avg + _CONVEXITY_TOL):
-            violations.append(ConvexityViolation(
-                offset + lo + int(i), float(w[i]), float(c_mix[i]), float(c_avg[i])))
-    return violations
+    w = lam[:, None, None]
+    c_mix = batch_complexity(w * rho_a + (1 - w) * rho_b)
+    c_avg = lam * batch_complexity(rho_a) + (1 - lam) * batch_complexity(rho_b)
+    return [ConvexityViolation(first + int(i), float(lam[i]), float(c_mix[i]), float(c_avg[i]))
+            for i in np.flatnonzero(c_mix > c_avg + _CONVEXITY_TOL)]
 
 
 def concavity_witness(d: int) -> tuple[float, float]:

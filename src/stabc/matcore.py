@@ -29,9 +29,16 @@ SQRT_CONSISTENCY_TOL = 1e-9
 SQRT_RANK_RCOND = 1e-13
 
 
+def _check_int(value, name: str) -> int:
+    """``value`` as an int: Python and numpy integers pass, bools and anything else raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_dim(d: int) -> int:
     """Validate a Hilbert-space dimension against the dense cap."""
-    d = int(d)
+    d = _check_int(d, "dimension")
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     if d > DIM_CAP:
@@ -207,7 +214,7 @@ def random_pure_vectors(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     n sequential draws.
     """
     d = check_dim(d)
-    x = rng.standard_normal((int(n), 2, d))
+    x = rng.standard_normal((_check_int(n, "n"), 2, d))
     v = x[:, 0] + 1j * x[:, 1]
     return v / _hs_norms(v)[:, None]
 
@@ -234,11 +241,15 @@ def random_mixed_stack(d: int, ranks, rng: np.random.Generator) -> np.ndarray:
     state.
     """
     d = check_dim(d)
-    ranks = np.asarray(ranks, dtype=int).reshape(-1)
+    ranks = np.asarray(ranks).reshape(-1)
+    # An empty list has a float dtype, and no rank to refuse.
+    if ranks.size and not np.issubdtype(ranks.dtype, np.integer):
+        raise ValueError(f"ranks must be integers, got {ranks.dtype} entries")
+    ranks = ranks.astype(int, copy=False)
     bad = ranks[(ranks < 1) | (ranks > d)]
     if bad.size:
         raise ValueError(f"rank must be in [1, {d}], got {bad[0]}")
-    return _ginibre_stack(d, ranks, *_ginibre_normals(d, ranks, rng))
+    return _ginibre_stack(d, ranks, rng.standard_normal(2 * d * int(ranks.sum())))
 
 
 def random_rank_mixed_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -249,34 +260,24 @@ def random_rank_mixed_stack(d: int, n: int, rng: np.random.Generator) -> np.ndar
     calls, so only the Gram matrices are stacked.
     """
     d = check_dim(d)
-    ranks = np.empty(int(n), dtype=int)
+    ranks = np.empty(_check_int(n, "n"), dtype=int)
     draws = [np.empty(0)]  # keeps the concatenation defined for n = 0
     for i in range(ranks.size):
         ranks[i] = rng.integers(1, d + 1)
         draws.append(rng.standard_normal(2 * d * ranks[i]))
-    return _ginibre_stack(d, ranks, np.concatenate(draws), _ginibre_starts(d, ranks))
+    return _ginibre_stack(d, ranks, np.concatenate(draws))
 
 
-def _ginibre_starts(d: int, ranks: np.ndarray) -> np.ndarray:
-    """Offset of each member's 2 d r_i normals when laid out back to back."""
-    sizes = 2 * d * ranks
-    return np.cumsum(sizes) - sizes
+def _ginibre_stack(d: int, ranks: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Trace-normalized Grams of the Ginibre factors laid out back to back in ``normals``.
 
-
-def _ginibre_normals(d: int, ranks: np.ndarray, rng: np.random.Generator):
-    """All normals of the Ginibre factors of ``ranks`` in one draw, and their offsets."""
-    return rng.standard_normal(2 * d * int(ranks.sum())), _ginibre_starts(d, ranks)
-
-
-def _ginibre_stack(
-    d: int, ranks: np.ndarray, normals: np.ndarray, starts: np.ndarray
-) -> np.ndarray:
-    """Trace-normalized Grams of the Ginibre factors at offsets ``starts`` of ``normals``.
-
-    One batched product per distinct rank; each member's product and trace
-    round exactly as the single-matrix ``g @ g.conj().T`` and ``np.trace``,
-    and the stack is normalized in place.
+    Member i's 2 d r_i normals follow those of the members before it.  One
+    batched product per distinct rank; each member's product and trace round
+    exactly as the single-matrix ``g @ g.conj().T`` and ``np.trace``, and the
+    stack is normalized in place.
     """
+    sizes = 2 * d * ranks
+    starts = np.cumsum(sizes) - sizes
     out = np.empty((ranks.size, d, d), dtype=complex)
     # np.flatnonzero(np.bincount(...)) lists the distinct ranks; np.unique would
     # import numpy.ma (~14 ms and ~1.3 MB per process).
@@ -290,9 +291,8 @@ def _ginibre_stack(
 
 def random_mixed(d: int, rank: int, seed) -> DensityState:
     """Random rank-constrained Ginibre state: the one-row case of :func:`random_mixed_stack`."""
-    return DensityState(
-        random_mixed_stack(d, [int(rank)], np.random.default_rng(seed))[0], check=False
-    )
+    rank = _check_int(rank, "rank")
+    return DensityState(random_mixed_stack(d, [rank], np.random.default_rng(seed))[0], check=False)
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:

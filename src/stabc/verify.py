@@ -447,7 +447,8 @@ def run_suites(names, dims=None, samples=None, seed=0) -> list[tuple[str, list[C
 
     ``dims`` and ``samples`` override one named suite's defaults.  ValueError
     refuses them with ``all``, samples below 1 or for a suite that draws none
-    (weyl, rho-p, fiducials), and dimensions a suite has no check for.
+    (weyl, rho-p, fiducials), repeated dimensions, and dimensions a suite has
+    no check for.
     """
     if not names or names == ["all"]:
         names = list(SUITES)
@@ -456,6 +457,8 @@ def run_suites(names, dims=None, samples=None, seed=0) -> list[tuple[str, list[C
         raise ValueError("dimension and sample overrides need one named suite, not 'all'")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if dims is not None and len(set(dims)) < len(dims):
+        raise ValueError(f"dimensions must be distinct, got {' '.join(map(str, dims))}")
     out = []
     for name in names:
         if name not in SUITES:

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, NotUnitaryError
-from .matcore import _as_square, check_dim, hs_norm
+from .matcore import _as_square, _check_int, check_dim, hs_norm
 
 UNITARY_TOL = 1e-10
 # Overlap modulus within this (times d) of d detects proportionality to a
@@ -61,6 +61,8 @@ class WeylIndex:
 
     def __post_init__(self):
         check_dim(self.dim)
+        _check_int(self.k, "k")
+        _check_int(self.l, "l")
         if not (0 <= self.k < self.dim and 0 <= self.l < self.dim):
             raise ValueError(
                 f"index ({self.k}, {self.l}) out of range for dimension {self.dim}"
@@ -76,7 +78,7 @@ class PhaseExponent:
 
     def __post_init__(self):
         check_dim(self.dim)
-        object.__setattr__(self, "exponent", self.exponent % (2 * self.dim))
+        object.__setattr__(self, "exponent", _check_int(self.exponent, "exponent") % (2 * self.dim))
 
     @property
     def value(self) -> complex:

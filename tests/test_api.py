@@ -34,6 +34,16 @@ def test_second_implementations_are_gone():
     assert not hasattr(complexity, "_PURITY_THRESHOLD")
 
 
+def test_ginibre_layout_is_private_to_matcore():
+    # The scan draws through random_mixed_stack; only _ginibre_stack lays out normals.
+    for name in ("_ginibre_normals", "_ginibre_starts"):
+        assert not hasattr(matcore, name)
+    for name in ("_SCAN_CHUNK", "_scan_chunk"):
+        assert not hasattr(complexity, name)
+    assert not [name for name in vars(complexity) if name.startswith("_ginibre")]
+    assert list(inspect.signature(matcore._ginibre_stack).parameters) == ["d", "ranks", "normals"]
+
+
 def test_one_value_keywords_are_constants():
     assert "tol" not in inspect.signature(DensityState.is_pure).parameters
     assert not hasattr(DensityState, "sqrt")

@@ -407,6 +407,15 @@ def test_run_suites_overrides_need_one_suite():
         run_suites(["weyl", "qubit"], dims=[2])
 
 
+def test_verify_repeated_dimension_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "weyl", "--d", "3", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "distinct" in err
+    with pytest.raises(ValueError, match="dimensions must be distinct"):
+        run_suites(["convexity"], dims=[2, 3, 2], samples=5)
+
+
 OPTIONS = {
     "compute": ["input", "--tables", "--out"],
     "verify": ["suite", "--d", "--samples", "--seed", "--out"],

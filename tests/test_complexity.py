@@ -42,7 +42,7 @@ from stabc import (
     weyl_matrix,
 )
 from stabc import complexity
-from stabc.complexity import _SCAN_CHUNK, _definition_tables, _moment_complexities
+from stabc.complexity import _SCAN_BLOCK, _definition_tables, _moment_complexities
 from stabc.matcore import _checked_sqrt_stack, random_mixed_stack
 
 T_STATE = bloch_to_state(BlochVector(*(np.ones(3) / np.sqrt(3))))
@@ -86,6 +86,15 @@ def test_jordan_lie_rejects_out_of_range_and_foreign_index():
     for idx in ((-1, 0), (3, 0), WeylIndex(0, 0, 2)):
         with pytest.raises(ValueError):
             jordan_lie_terms(state, idx)
+
+
+def test_integer_arguments_refuse_non_integers():
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        complexity_upper_bound(2.5)
+    state = random_mixed(3, 2, 1)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        jordan_lie_terms(state, (1.7, 0))
+    assert jordan_lie_terms(state, (np.int64(1), 0)) == jordan_lie_terms(state, (1, 0))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -459,47 +468,63 @@ def test_convexity_scan_accepts_numpy_integers():
     assert convexity_scan(2, np.int64(3), 7) == convexity_scan(2, 3, 7) == []
 
 
-def _whole_chunk_scan(d, samples, seed):
-    # The scan as whole-chunk stacks: each chunk's states drawn by
-    # random_mixed_stack and evaluated by batch_complexity in one call.
+def _one_state_at_a_time_scan(d, samples, seed):
+    # The documented stream drawn one state at a time: per block the ranks and
+    # states of rho_1, then those of rho_2, then lambda; every C by the
+    # checked moment route, the witness first.
     rng = np.random.default_rng(seed)
-    rows = []
-    for done in range(0, samples, _SCAN_CHUNK):
-        n = min(_SCAN_CHUNK, samples - done)
-        ranks_a = rng.integers(1, d + 1, size=n)
-        ranks_b = rng.integers(1, d + 1, size=n)
-        rho_a = random_mixed_stack(d, ranks_a, rng)
-        rho_b = random_mixed_stack(d, ranks_b, rng)
+
+    def row(index, lam, rho_a, rho_b):
+        mixture = DensityState(lam * rho_a.rho + (1 - lam) * rho_b.rho, check=False)
+        c_avg = lam * complexity_by_moments(rho_a) + (1 - lam) * complexity_by_moments(rho_b)
+        return index, float(lam), complexity_by_moments(mixture), c_avg
+
+    rho_a, rho_b, lam = convexity_witness_states(d)
+    rows = [row(-1, lam, rho_a, rho_b)]
+    for first in range(0, samples, _SCAN_BLOCK):
+        n = min(_SCAN_BLOCK, samples - first)
+        states = [[random_mixed(d, r, rng) for r in rng.integers(1, d + 1, size=n)]
+                  for _ in range(2)]
         lam = rng.uniform(size=n)
-        c_mix = batch_complexity(lam[:, None, None] * rho_a + (1 - lam)[:, None, None] * rho_b)
-        c_avg = lam * batch_complexity(rho_a) + (1 - lam) * batch_complexity(rho_b)
-        rows += [(done + i, float(lam[i]), float(c_mix[i]), float(c_avg[i])) for i in range(n)]
+        rows += [row(first + i, lam[i], states[0][i], states[1][i]) for i in range(n)]
     return rows
 
 
-@pytest.mark.parametrize("d,samples", [(2, _SCAN_CHUNK + 5000), (3, 5000), (5, 2000)])
-def test_convexity_scan_is_bitwise_whole_chunk_stacks(monkeypatch, d, samples):
+@pytest.mark.parametrize("d,samples", [(2, _SCAN_BLOCK + 5), (3, 300), (5, 100)])
+def test_convexity_scan_matches_one_state_at_a_time(monkeypatch, d, samples):
     # With the tolerance at -inf every sample is recorded, so the stream, the
-    # sample order and every value are compared, across chunk and block edges.
+    # sample order and every value are compared, across a block edge at d = 2.
+    # The stacked and scalar reductions round differently, hence 1e-12 d^2.
     monkeypatch.setattr(complexity, "_CONVEXITY_TOL", -np.inf)
-    got = [(v.index, v.lam, v.c_mixture, v.c_average)
-           for v in convexity_scan(d, samples, 23) if v.index >= 0]
-    assert len(got) == samples
-    assert got == _whole_chunk_scan(d, samples, 23)
+    got = convexity_scan(d, samples, 23)
+    expected = _one_state_at_a_time_scan(d, samples, 23)
+    assert [v.index for v in got] == [row[0] for row in expected] == list(range(-1, samples))
+    for v, (_, lam, c_mix, c_avg) in zip(got, expected):
+        assert v.lam == lam
+        assert abs(v.c_mixture - c_mix) <= 1e-12 * d * d
+        assert abs(v.c_average - c_avg) <= 1e-12 * d * d
 
 
-def test_convexity_scan_memory_is_bounded():
-    # Whole 20000-member stacks peaked at 17.9 MiB; the blocked scan holds
-    # one chunk's normals and one block's states.
-    seed = np.random.SeedSequence([0, 9, 3])
-    convexity_scan(3, 1, seed)  # builds the per-d constants
+def _scan_peak_mib(d, samples):
+    seed = np.random.SeedSequence([0, 9, d])
+    convexity_scan(d, 1, seed)  # builds the per-d constants
     tracemalloc.start()
     try:
-        convexity_scan(3, 20000, seed)
+        convexity_scan(d, samples, seed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2**20
+    return peak / 2**20
+
+
+def test_convexity_scan_memory_is_bounded():
+    # The scan holds one block's states at a time (3.6 MiB traced).
+    assert _scan_peak_mib(3, 20000) < 6
+
+
+def test_qubit_convexity_scan_memory_is_bounded():
+    # One block's states at a time (1.9 MiB traced).
+    assert _scan_peak_mib(2, 100000) < 4
 
 
 def test_convexity_scan_d2_clean():

@@ -18,6 +18,7 @@ from stabc import (
 )
 from stabc.matcore import (
     _batch_psd_sqrt,
+    check_dim,
     random_mixed_stack,
     random_pure_stack,
     random_pure_vectors,
@@ -168,6 +169,35 @@ def test_samplers_accept_empty_blocks_and_refuse_bad_ranks():
     for ranks in ([1, 4], [0, 2]):
         with pytest.raises(ValueError, match="rank must be in"):
             random_mixed_stack(3, ranks, rng)
+
+
+@pytest.mark.parametrize("d", [2.5, 3.0, np.float64(3), "3", True, np.bool_(True), None])
+def test_check_dim_refuses_non_integers(d):
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        check_dim(d)
+
+
+def test_check_dim_accepts_numpy_integers():
+    assert check_dim(np.int64(3)) == 3
+    assert type(check_dim(np.int32(3))) is int
+
+
+def test_samplers_refuse_non_integral_counts_and_ranks():
+    rng = np.random.default_rng(0)
+    for ranks in ([1.9, 2.2], [True, False], np.array([2.0]), ["2"]):
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            random_mixed_stack(3, ranks, rng)
+    for rank in (True, 2.0, np.float64(2), "2", [2]):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            random_mixed(3, rank, 0)
+    for sampler in (random_pure_stack, random_pure_vectors, random_rank_mixed_stack):
+        for n in (2.9, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                sampler(3, n, rng)
+    # An empty rank list has a float dtype and still gives an empty stack.
+    assert random_mixed_stack(3, np.array([]), rng).shape == (0, 3, 3)
+    assert np.array_equal(random_mixed(3, np.int64(2), 5).rho, random_mixed(3, 2, 5).rho)
+    assert random_pure_stack(3, np.int64(2), rng).shape == (2, 3, 3)
 
 
 def test_random_mixed_full_rank_spectrum():

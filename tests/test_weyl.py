@@ -275,3 +275,10 @@ def test_weyl_index_validation():
         WeylIndex(2, 0, 2)
     with pytest.raises(ValueError):
         WeylIndex(0, -1, 3)
+    for k, l, d in ((1.5, 0, 3), (0, True, 3), (0, "1", 3), (0, 0, 3.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            WeylIndex(k, l, d)
+    assert WeylIndex(np.int64(1), 0, 3) == WeylIndex(1, 0, 3)
+    with pytest.raises(ValueError, match="exponent must be an integer"):
+        PhaseExponent(1.5, 3)
+    assert PhaseExponent(np.int64(7), 3) == PhaseExponent(1, 3)
