@@ -68,7 +68,7 @@ def _check_invariant(tables: np.ndarray, source: str) -> None:
         what, values, target, tol = "state table has c(0,0)", tables[:, 0, 0], 1, _STATE_TRACE_TOL
     elif source == SOURCE_SQRT_STATE:
         what, target, tol = "square-root table has sum |c|^2", tables.shape[-1], _SQRT_NORM_TOL
-        values = (np.abs(tables) ** 2).sum(axis=(1, 2))
+        values = _power_sums(tables, 2)
     else:
         return
     defects = np.abs(values - target)
@@ -132,9 +132,14 @@ def _lp_moments(tables: np.ndarray, p: float) -> np.ndarray:
     if not 2.0 <= p < np.inf:
         raise ValueError(f"moment exponent must be finite and >= 2, got {p}")
     with np.errstate(over="ignore"):
-        sums = (np.abs(tables) ** p).sum(axis=(1, 2))
+        sums = _power_sums(tables, p)
     if not np.isfinite(sums).all():
         raise ValueError(f"moment exponent p = {p} overflows the power sum")
     # One scalar pow per member: np.power on an array may take a vector pow
     # (AVX-512) that rounds differently, and printed moments carry the bits.
     return np.array([total ** (1.0 / p) for total in sums])
+
+
+def _power_sums(tables: np.ndarray, p: float) -> np.ndarray:
+    """sum |c(k, l)|^p of each table of a stack (..., d, d): the one power-sum reduction."""
+    return (np.abs(tables) ** p).sum(axis=(-2, -1))

@@ -285,7 +285,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ArithmeticError as exc:
-        # an internal cross-check (dual-route agreement, trade-off, ...) failed
+        # an internal cross-check (dual-route agreement, bounds, ...) failed
         sys.stderr.write(f"check failed: {exc}\n")
         return 1
 

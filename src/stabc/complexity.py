@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charfun import SOURCE_SQRT_STATE, _checked_tables, char_table
+from .charfun import SOURCE_SQRT_STATE, _checked_tables, _power_sums, char_table
 from .errors import NotHermitianError
 from .matcore import (
     HERMITIAN_TOL,
@@ -44,10 +44,9 @@ from .matcore import (
     random_mixed_stack,
 )
 from .states import BlochVector
-from .weyl import WeylIndex, _table_constants, weyl_coefficient_table
+from .weyl import WeylIndex, _table_constants
 
 _CROSS_CHECK_TOL = 1e-10
-_TRADEOFF_TOL = 1e-10
 _PATH_GAP_TOL = 1e-9
 _BOUND_SLACK = 1e-9
 _COMPLEMENTARITY_TOL = 1e-8
@@ -175,15 +174,13 @@ def complexity_by_moments(rho: DensityState) -> float:
 def _moment_complexities(roots: np.ndarray) -> np.ndarray:
     """d^2 - sum |c(k,l)(S)|^4 for each root S of a stack (n, d, d).
 
+    The one moment-route kernel: every scalar and stacked C reduces here.
     Each square-root table is checked (sum |c|^2 = d) as a ``sqrt_state``
-    :class:`~stabc.charfun.CharTable` would be.  The reduction is
-    ``np.abs(c) ** 4``, as printed values have always used;
-    :func:`batch_complexity` keeps its own ``(re^2 + im^2)^2``, which rounds
-    differently.
+    :class:`~stabc.charfun.CharTable` would be, so a member whose trace is
+    not 1 raises ValueError.
     """
     d = roots.shape[-1]
-    tables = _checked_tables(roots, SOURCE_SQRT_STATE)
-    return d * d - (np.abs(tables) ** 4).sum(axis=(1, 2))
+    return d * d - _power_sums(_checked_tables(roots, SOURCE_SQRT_STATE), 4)
 
 
 @dataclass(frozen=True)
@@ -210,17 +207,14 @@ class ComplexityReport:
 def complexity_report(rho: DensityState) -> ComplexityReport:
     """Evaluate both routes, cross-check them, and bundle the diagnostics.
 
-    Raises if any internal consistency check fails: the per-point trade-off
-    I + J = 2, the agreement of the two routes, the global bounds, or (for
-    pure states) the complementarity with the fourth-moment magic witness.
+    Raises if any internal consistency check fails: the definition route's
+    trace/norm and root-Hermiticity checks, the agreement of the two routes,
+    the global bounds, or (for pure states) the complementarity with the
+    fourth-moment magic witness.
     """
     d = rho.dim
     jordan, lie = _definition_tables(psd_sqrt(rho)[None])
     jordan, lie = jordan[0], lie[0]
-    tradeoff_defect = float(np.abs(jordan + lie - 2.0).max())
-    if not tradeoff_defect <= _TRADEOFF_TOL:
-        raise ArithmeticError(f"trade-off defect {tradeoff_defect:.3e} exceeds {_TRADEOFF_TOL:.1e}")
-
     c_def = float((jordan * lie).sum())
     c_mom = complexity_by_moments(rho)
     gap = abs(c_def - c_mom)
@@ -233,7 +227,7 @@ def complexity_report(rho: DensityState) -> ComplexityReport:
     m4_fourth = None
     # Complementarity holds for pure states only (DensityState.is_pure).
     if _pure_rule(rho, purity):
-        m4_fourth = float(np.sum(np.abs(char_table(rho).values) ** 4))
+        m4_fourth = float(_power_sums(char_table(rho).values, 4))
         if not abs(m4_fourth + c_mom - d * d) <= _COMPLEMENTARITY_TOL:
             raise ArithmeticError(
                 f"pure-state complementarity defect {abs(m4_fourth + c_mom - d * d):.3e}"
@@ -258,25 +252,24 @@ def qubit_complexity(bloch: BlochVector | tuple[float, float, float]) -> float:
     """Closed-form qubit complexity 4 - s^2 - (r1^4 + r2^4 + r3^4)/s^2.
 
     s = 1 + sqrt(1 - r^2) with the radicand clamped at zero, so s >= 1 and
-    the pure-state limit r = 1 is regular.
+    the pure-state limit r = 1 is regular.  A tuple is checked as a
+    :class:`BlochVector`.  The one-row case of :func:`_qubit_closed_forms`.
     """
-    if isinstance(bloch, BlochVector):
-        r = bloch.as_array()
-    else:
-        r = np.asarray(bloch, dtype=float).reshape(3)
-        if not np.isfinite(r).all():
-            raise ValueError(f"Bloch vector has non-finite components {r}")
-    r2 = float(r @ r)
-    if np.sqrt(r2) > 1.0 + 1e-9:
-        raise ValueError(f"Bloch vector norm {np.sqrt(r2)} exceeds 1")
+    if not isinstance(bloch, BlochVector):
+        bloch = BlochVector(*np.asarray(bloch, dtype=float).reshape(3))
+    return float(_qubit_closed_forms(bloch.as_array()[None])[0])
+
+
+def _qubit_closed_forms(r: np.ndarray) -> np.ndarray:
+    """The closed form for each row of a stack of Bloch vectors (n, 3), unchecked."""
+    # One product per member, as _hs_norms takes its norms: bitwise r_i @ r_i.
+    r2 = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
     # Norm defects at rounding scale are resolved to "exactly pure", matching
     # the eigenvalue-dust convention of the square-root route: the kink of
     # sqrt(1 - r^2) would otherwise blow 1e-16 dust up to 1e-8.
     gap = 1.0 - r2
-    if gap < 4.0 * SQRT_RANK_RCOND:
-        gap = 0.0
-    s = 1.0 + np.sqrt(gap)
-    return float(4.0 - s * s - np.sum(r**4) / (s * s))
+    s = 1.0 + np.sqrt(np.where(gap < 4.0 * SQRT_RANK_RCOND, 0.0, gap))
+    return 4.0 - s * s - (r**4).sum(axis=1) / (s * s)
 
 
 # -- the depolarized-pure family ---------------------------------------------
@@ -388,10 +381,11 @@ def rho_p_expansion_residual(family: RhoPFamily, epsilon: float) -> float:
 def batch_complexity(rhos: np.ndarray) -> np.ndarray:
     """Moment-route complexity of a stack of density matrices, vectorized.
 
-    Equivalent to complexity_by_moments applied along the first axis: one
-    stacked square root (the closed form at d = 2, one stacked eigensolve
-    otherwise) and one stacked weyl_coefficient_table call, no operators
-    materialized.
+    Bitwise complexity_by_moments along the first axis: one stacked square
+    root (closed form at d = 2, one stacked eigensolve otherwise) through
+    :func:`_moment_complexities`, whose table check refuses a member of
+    trace other than 1 with ValueError.  The roots skip the S^2 = rho check,
+    which would add about a fifth to the call.
     Every member must be Hermitian and finite: the square root reads only
     the lower triangle, so anything else raises NotHermitianError instead of
     giving a finite, wrong value.  An empty stack gives an empty result.
@@ -406,8 +400,7 @@ def batch_complexity(rhos: np.ndarray) -> np.ndarray:
         raise NotHermitianError(
             f"stack symmetry defect {defect:.3e} exceeds {HERMITIAN_TOL * d:.3e} (or is not finite)"
         )
-    tables = weyl_coefficient_table(_batch_psd_sqrt(rhos))
-    return d * d - np.sum((tables.real**2 + tables.imag**2) ** 2, axis=(1, 2))
+    return _moment_complexities(_batch_psd_sqrt(rhos))
 
 
 @dataclass(frozen=True)
@@ -494,7 +487,4 @@ def concavity_witness(d: int) -> tuple[float, float]:
     d = check_dim(d)
     lhs = complexity_by_moments(DensityState.maximally_mixed(d))
     eye = np.eye(d, dtype=complex)
-    rhs = float(
-        np.mean([complexity_by_moments(DensityState.pure(eye[:, k])) for k in range(d)])
-    )
-    return lhs, rhs
+    return lhs, float(np.mean(batch_complexity(eye[:, :, None] * eye[:, None, :])))

@@ -25,6 +25,7 @@ from .errors import (
     NotNormalizedError,
     NotPrimeError,
 )
+from .charfun import _power_sums
 from .matcore import DensityState, check_dim
 from .weyl import WeylIndex, tau_power, weyl_coefficient_table
 
@@ -64,9 +65,14 @@ class BlochVector:
 def bloch_to_state(b: BlochVector) -> DensityState:
     """Qubit density operator (1 + r . sigma) / 2."""
     if not isinstance(b, BlochVector):
-        b = BlochVector(*(float(x) for x in b))
-    rho = 0.5 * (np.eye(2, dtype=complex) + b.r1 * SIGMA_X + b.r2 * SIGMA_Y + b.r3 * SIGMA_Z)
-    return DensityState(rho, check=False)
+        b = BlochVector(*np.asarray(b, dtype=float).reshape(3))
+    return DensityState(_bloch_matrices(b.as_array()[None])[0], check=False)
+
+
+def _bloch_matrices(r: np.ndarray) -> np.ndarray:
+    """(1 + r . sigma) / 2 for each row of a stack of Bloch vectors (n, 3), unchecked."""
+    x, y, z = r.T[:, :, None, None]
+    return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
 def state_to_bloch(rho: DensityState) -> BlochVector:
@@ -133,7 +139,7 @@ def enumerate_stabilizer_states(d: int) -> StabilizerSet:
 
     # For projectors sqrt(rho) = rho, so the moment formula needs no eigensolve.
     floor = d * d - d
-    c = d * d - np.sum(np.abs(weyl_coefficient_table(projectors)) ** 4, axis=(1, 2))
+    c = d * d - _power_sums(weyl_coefficient_table(projectors), 4)
     off = np.flatnonzero(~(np.abs(c - floor) <= _EXTREMAL_TOL))
     if off.size:
         i = int(off[0])

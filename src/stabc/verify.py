@@ -20,6 +20,7 @@ from .charfun import (
     SOURCE_STATE,
     _checked_tables,
     _lp_moments,
+    _power_sums,
     char_table,
     reconstruct,
 )
@@ -27,6 +28,7 @@ from .complexity import (
     RhoPFamily,
     _definition_tables,
     _moment_complexities,
+    _qubit_closed_forms,
     batch_complexity,
     complexity_by_moments,
     complexity_report,
@@ -35,7 +37,6 @@ from .complexity import (
     convexity_scan,
     near_pure_curvature_offset,
     pure_complexity_floor,
-    qubit_complexity,
     rho_p_complexity_analytic,
     rho_p_second_derivative,
     rho_p_expansion_residual,
@@ -43,6 +44,7 @@ from .complexity import (
 )
 from .matcore import (
     DensityState,
+    _check_int,
     _checked_sqrt_stack,
     haar_unitary,
     hs_norm,
@@ -54,8 +56,7 @@ from .matcore import (
     random_rank_mixed_stack,
 )
 from .states import (
-    bloch_to_state,
-    BlochVector,
+    _bloch_matrices,
     certify_fiducial,
     enumerate_stabilizer_states,
     known_fiducial,
@@ -95,14 +96,6 @@ def _leq(check_id: str, observed: float, tol: float, note: str = "") -> CheckRes
 def _sample_block(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Deterministic mix of pure, rank-2 and full-rank states, drawn as one block."""
     return random_mixed_stack(d, [(1, min(2, d), d)[i % 3] for i in range(n)], rng)
-
-
-def _block_complexities(rhos: np.ndarray) -> np.ndarray:
-    """Moment-route C of every member of a block: one root kernel, every root and table checked.
-
-    Bitwise what ``complexity_by_moments`` gives one state at a time.
-    """
-    return _moment_complexities(_checked_sqrt_stack(rhos))
 
 
 # -- suites -------------------------------------------------------------------
@@ -160,7 +153,7 @@ def suite_weyl(dims=None, seed=0) -> list[CheckResult]:
 
 def suite_charfun(dims=None, samples=None, seed=0) -> list[CheckResult]:
     dims = tuple(dims) if dims else DEFAULT_DIMS
-    n = int(samples) if samples else 200
+    n = samples or 200
     rng = _rng_for(seed, 2)
     results = []
     for d in dims:
@@ -198,21 +191,21 @@ def suite_charfun(dims=None, samples=None, seed=0) -> list[CheckResult]:
 
 def suite_tradeoff(dims=None, samples=None, seed=0) -> list[CheckResult]:
     dims = tuple(dims) if dims else DEFAULT_DIMS
-    n = int(samples) if samples else 200
+    n = samples or 200
     rng = _rng_for(seed, 3)
     results = []
     for d in dims:
-        worst = 0.0
-        for rho in _sample_block(d, n, rng):
-            rep = complexity_report(DensityState(rho, check=False))
-            worst = max(worst, float(np.abs(rep.jordan_table + rep.lie_table - 2.0).max()))
-        results.append(_leq(f"tradeoff-sum-defect-d{d}", worst, 1e-10))
+        block = _sample_block(d, n, rng)
+        # One report per d keeps the report's own path exercised.
+        complexity_report(DensityState(block[0], check=False))
+        jordan, lie = _definition_tables(_checked_sqrt_stack(block))
+        results.append(_leq(f"tradeoff-sum-defect-d{d}", np.abs(jordan + lie - 2.0).max(), 1e-10))
     return results
 
 
 def suite_dual_path(dims=None, samples=None, seed=0) -> list[CheckResult]:
     dims = tuple(dims) if dims else DEFAULT_DIMS
-    n = int(samples) if samples else 200
+    n = samples or 200
     rng = _rng_for(seed, 4)
     results = []
     for d in dims:
@@ -225,7 +218,7 @@ def suite_dual_path(dims=None, samples=None, seed=0) -> list[CheckResult]:
 
 def suite_bounds(dims=None, samples=None, seed=0) -> list[CheckResult]:
     dims = tuple(dims) if dims else (2, 3, 5)
-    n = int(samples) if samples else 1000
+    n = samples or 1000
     rng = _rng_for(seed, 5)
     results = []
     for d in dims:
@@ -246,7 +239,7 @@ def suite_bounds(dims=None, samples=None, seed=0) -> list[CheckResult]:
 
 def suite_clifford(dims=None, samples=None, seed=0) -> list[CheckResult]:
     dims = tuple(dims) if dims else (2, 3, 5, 7)
-    n = int(samples) if samples else 100
+    n = samples or 100
     rng = _rng_for(seed, 6)
     results = []
     for d in dims:
@@ -255,8 +248,9 @@ def suite_clifford(dims=None, samples=None, seed=0) -> list[CheckResult]:
         results.append(CheckResult(f"clifford-fourier-table-d{d}", 1.0 if table else 0.0,
                                    None, table is not None, "1 = conjugation table exists"))
         rhos = _sample_block(d, n, rng)
-        gap = np.abs(_block_complexities(f @ rhos @ f.conj().T) - _block_complexities(rhos))
-        results.append(_leq(f"clifford-invariance-gap-d{d}", gap.max(), 1e-9))
+        rhos = np.concatenate([f @ rhos @ f.conj().T, rhos])  # rotated block, then the block
+        c = _moment_complexities(_checked_sqrt_stack(rhos))
+        results.append(_leq(f"clifford-invariance-gap-d{d}", np.abs(c[:n] - c[n:]).max(), 1e-9))
 
         u = haar_unitary(d, rng)
         haar_table = clifford_conjugation_table(u)
@@ -279,12 +273,12 @@ def suite_clifford(dims=None, samples=None, seed=0) -> list[CheckResult]:
 
 def suite_complementarity(dims=None, samples=None, seed=0) -> list[CheckResult]:
     dims = tuple(dims) if dims else (2, 3, 5)
-    n = int(samples) if samples else 500
+    n = samples or 500
     rng = _rng_for(seed, 7)
     results = []
     for d in dims:
         rhos = random_pure_stack(d, n, rng)
-        m4_fourth = np.sum(np.abs(_checked_tables(rhos, SOURCE_STATE)) ** 4, axis=(1, 2))
+        m4_fourth = _power_sums(_checked_tables(rhos, SOURCE_STATE), 4)
         c = batch_complexity(rhos)
         worst = float(np.abs(m4_fourth + c - d * d).max())
         results.append(_leq(f"complementarity-pure-sum-defect-d{d}", worst, 1e-8))
@@ -294,17 +288,16 @@ def suite_complementarity(dims=None, samples=None, seed=0) -> list[CheckResult]:
 def suite_qubit(dims=None, samples=None, seed=0) -> list[CheckResult]:
     if dims and set(dims) != {2}:
         raise ValueError(f"the qubit suite covers d = 2 only, got dimensions {list(dims)}")
-    n = int(samples) if samples else 1000
+    n = samples or 1000
     rng = _rng_for(seed, 8)
-    bloch = []
+    bloch = np.empty((n, 3))
     for i in range(n):
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         radius = 1.0 if i % 2 == 0 else float(rng.uniform() ** (1 / 3))
-        bloch.append(BlochVector(*(radius * direction)))
-    closed = np.array([qubit_complexity(b) for b in bloch])
-    c = _block_complexities(np.array([bloch_to_state(b).rho for b in bloch]))
-    return [_leq("qubit-closed-form-gap", np.abs(c - closed).max(), 1e-9)]
+        bloch[i] = radius * direction
+    c = _moment_complexities(_checked_sqrt_stack(_bloch_matrices(bloch)))
+    return [_leq("qubit-closed-form-gap", np.abs(c - _qubit_closed_forms(bloch)).max(), 1e-9)]
 
 
 def suite_rho_p(dims=None, seed=0) -> list[CheckResult]:
@@ -368,7 +361,7 @@ def suite_convexity(dims=None, samples=None, seed=0) -> list[CheckResult]:
     dims = tuple(dims) if dims else (2, 3)
     results = []
     for d in dims:
-        n = int(samples) if samples else (100000 if d == 2 else 20000)
+        n = samples or (100000 if d == 2 else 20000)
         violations = convexity_scan(d, n, np.random.SeedSequence([int(seed), 9, d]))
         count = len(violations)
         if d == 2:
@@ -396,7 +389,7 @@ def suite_stabilizers(dims=None, samples=None, seed=0) -> list[CheckResult]:
         worst = max(abs(complexity_by_moments(s) - floor) for s in group.states)
         results.append(_leq(f"stabilizer-floor-attainment-d{d}", worst, 1e-9))
 
-        n = int(samples) if samples else 300
+        n = samples or 300
         c = batch_complexity(random_pure_stack(d, n, rng))
         results.append(_leq(f"stabilizer-floor-not-undercut-d{d}", float((floor - c).max()), 1e-9))
     return results
@@ -455,7 +448,7 @@ def run_suites(names, dims=None, samples=None, seed=0) -> list[tuple[str, list[C
     overrides = {k: v for k, v in (("dims", dims), ("samples", samples)) if v is not None}
     if overrides and len(names) > 1:
         raise ValueError("dimension and sample overrides need one named suite, not 'all'")
-    if samples is not None and samples < 1:
+    if samples is not None and _check_int(samples, "samples") < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if dims is not None and len(set(dims)) < len(dims):
         raise ValueError(f"dimensions must be distinct, got {' '.join(map(str, dims))}")

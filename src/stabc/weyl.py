@@ -43,12 +43,17 @@ _PHASE_SNAP_TOL = 1e-6
 def tau_power(d: int, e) -> complex | np.ndarray:
     """tau^e with tau = -exp(i pi / d), for integer exponent(s) e.
 
-    The exponent is reduced mod 2d before exponentiation so the returned
-    angle is always in [0, 2 pi).
+    An array of exponents must have an integer dtype.  The exponent is
+    reduced mod 2d before exponentiation so the angle is in [0, 2 pi).
     """
+    d = check_dim(d)
+    if np.ndim(e) == 0:
+        e = _check_int(e, "exponent")
+    elif not np.issubdtype(np.asarray(e).dtype, np.integer):
+        raise ValueError(f"exponents must be integers, got {np.asarray(e).dtype} entries")
     m = (np.asarray(e, dtype=np.int64) * (d + 1)) % (2 * d)
     val = np.exp(1j * np.pi * m / d)
-    return complex(val) if np.isscalar(e) or np.ndim(e) == 0 else val
+    return complex(val) if np.ndim(e) == 0 else val
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,7 @@ class PhaseExponent:
 def weyl_matrix(d: int, k: int, l: int) -> np.ndarray:
     """Matrix of D(k, l); single nonzero per column: D[(j+k) mod d, j] = tau^(kl+2lj)."""
     d = check_dim(d)
+    k, l = _check_int(k, "k"), _check_int(l, "l")
     if not (0 <= k < d and 0 <= l < d):
         raise ValueError(f"index ({k}, {l}) out of range for dimension {d}")
     j = np.arange(d)

@@ -3,7 +3,7 @@ import inspect
 from pathlib import Path
 
 import stabc
-from stabc import DensityState, charfun, complexity, matcore, weyl
+from stabc import DensityState, charfun, complexity, matcore, states, verify, weyl
 
 PRUNED = (
     "WeylOperator", "hermitian_eig", "hs_inner", "is_clifford", "omega", "weyl_op", "weyl_stack",
@@ -27,11 +27,30 @@ def test_pruned_names_are_not_exported():
     assert not hasattr(charfun.CharTable, "moduli")
 
 
+def _fourth_powers(module) -> set[str]:
+    """Names of the functions of ``module`` that raise something to a literal 4th power."""
+    found = set()
+    for func in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                        and isinstance(node.right, ast.Constant) and node.right.value == 4):
+                    found.add(f"{module.__name__.rsplit('.', 1)[-1]}.{func.name}")
+    return found
+
+
 def test_second_implementations_are_gone():
     # One rank-r Ginibre sampler and one pure-state rule.
     assert not hasattr(matcore, "_ginibre_density_batch")
     assert not hasattr(matcore, "EIG_HERMITIAN_TOL")
     assert not hasattr(complexity, "_PURITY_THRESHOLD")
+    # The report's trade-off check compared (1 + x) + (1 - x) with 2.
+    assert not hasattr(complexity, "_TRADEOFF_TOL")
+    # Every sum |c|^4 over a characteristic table goes through charfun._power_sums.
+    # Left: the closed forms, whose 4th powers are of Bloch components and
+    # root weights, and the explicit-operator row that checks the table kernel.
+    assert set().union(*map(_fourth_powers, (complexity, states, verify))) == {
+        "complexity._qubit_closed_forms", "complexity._rho_p_closed_form", "verify.suite_weyl"}
 
 
 def test_ginibre_layout_is_private_to_matcore():

@@ -407,6 +407,13 @@ def test_run_suites_overrides_need_one_suite():
         run_suites(["weyl", "qubit"], dims=[2])
 
 
+@pytest.mark.parametrize("samples", [2.5, 2.0, True, "3"])
+def test_run_suites_refuses_non_integer_samples(samples):
+    # 2.5 and True used to run, truncated to 2 and 1 samples.
+    with pytest.raises(ValueError, match="samples must be an integer"):
+        run_suites(["bounds"], samples=samples)
+
+
 def test_verify_repeated_dimension_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "weyl", "--d", "3", "3")
     assert code == 2

@@ -43,7 +43,7 @@ from stabc import (
 )
 from stabc import complexity
 from stabc.complexity import _SCAN_BLOCK, _definition_tables, _moment_complexities
-from stabc.matcore import _checked_sqrt_stack, random_mixed_stack
+from stabc.matcore import _batch_psd_sqrt, _checked_sqrt_stack, random_mixed_stack
 
 T_STATE = bloch_to_state(BlochVector(*(np.ones(3) / np.sqrt(3))))
 
@@ -299,6 +299,22 @@ def test_qubit_rejects_non_finite_tuple(bad):
     # The norm test alone is False for NaN, which used to return C = nan.
     with pytest.raises(ValueError, match="non-finite"):
         qubit_complexity((bad, 0.1, 0.0))
+
+
+def test_qubit_tuple_follows_the_bloch_vector_rule():
+    # A tuple is checked as a BlochVector: norm 1 + 1e-10 is outside the ball
+    # for all three calls, a tuple gives bitwise what its BlochVector gives,
+    # and a tuple of the wrong length is a ValueError.
+    for r in ((1.0 + 1e-10, 0.0, 0.0), (0.0, 0.6, 0.8 + 1e-10)):
+        for call in (qubit_complexity, bloch_to_state, lambda r: BlochVector(*r)):
+            with pytest.raises(ValueError, match="exceeds 1"):
+                call(r)
+    r = (0.6, -0.3, 0.5)
+    assert qubit_complexity(r) == qubit_complexity(BlochVector(*r))
+    for call in (qubit_complexity, bloch_to_state):
+        for r in ((0.1, 0.2), (0.1, 0.2, 0.3, 0.0)):
+            with pytest.raises(ValueError):
+                call(r)
 
 
 # -- the depolarized-pure family ----------------------------------------------
@@ -602,7 +618,7 @@ def test_batch_complexity_matches_scalar():
         rhos = np.stack([random_mixed(d, (i % d) + 1, 50 + i).rho for i in range(12)])
         batched = batch_complexity(rhos)
         scalar = [complexity_by_moments(DensityState(r)) for r in rhos]
-        assert np.allclose(batched, scalar, atol=1e-12)
+        assert batched.tolist() == scalar
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-14, 1e-12, 1e-10, 1e-8])
@@ -741,9 +757,22 @@ def test_batch_complexity_rejects_negative_eigenvalue(d, spectrum):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_batch_complexity_zero_member(d):
-    # The zero matrix has the zero root, so C = d^2, without a division warning.
+    # The zero matrix has the zero root, without a division warning, and its
+    # empty square-root table is refused instead of giving C = d^2.
     rhos = np.stack([np.zeros((d, d), dtype=complex), np.eye(d, dtype=complex) / d])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = batch_complexity(rhos)
-    assert values == pytest.approx([d * d, 0.0], abs=1e-12)
+        roots = _batch_psd_sqrt(rhos)
+        with pytest.raises(ValueError, match=r"sum \|c\|\^2 = 0"):
+            batch_complexity(rhos)
+    assert not roots[0].any()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("trace", [2.0, 0.5])
+def test_batch_complexity_refuses_non_unit_trace_member(d, trace):
+    # A trace-2 member used to give C = -3 d^2, below the floor of 0.
+    rhos = np.stack([np.eye(d, dtype=complex) / d] * 3)
+    rhos[1] *= trace
+    with pytest.raises(ValueError, match="square-root table"):
+        batch_complexity(rhos)

@@ -6,7 +6,7 @@ import inspect
 
 import pytest
 
-from stabc import charfun, complexity, matcore, verify, weyl
+from stabc import charfun, complexity, matcore, states, verify, weyl
 
 SAMPLERS = ("random_pure", "random_mixed", "random_pure_stack", "random_mixed_stack",
             "random_rank_mixed_stack")
@@ -38,7 +38,8 @@ def test_suites_draw_samples_per_block_not_per_state(monkeypatch, suite):
     assert 1 <= calls[0] <= 17 * len(dims)
 
 
-@pytest.mark.parametrize("suite", ["charfun", "complementarity", "qubit", "dual-path", "clifford"])
+@pytest.mark.parametrize("suite", ["charfun", "complementarity", "qubit", "dual-path", "clifford",
+                                   "tradeoff"])
 def test_suites_evaluate_samples_per_block_not_per_state(monkeypatch, suite):
     # Doubling the samples must not add calls of the root kernel or of the
     # table kernel: each block is one stacked call, however many states it holds.
@@ -48,12 +49,24 @@ def test_suites_evaluate_samples_per_block_not_per_state(monkeypatch, suite):
         roots, tables = [0], [0]
         with monkeypatch.context() as patch:
             _count_calls(patch, [matcore, complexity], "_batch_psd_sqrt", roots)
-            _count_calls(patch, [weyl, charfun, complexity], "weyl_coefficient_table", tables)
+            _count_calls(patch, [weyl, charfun, states], "weyl_coefficient_table", tables)
             rows = verify.SUITES[suite](dims=dims, samples=samples, seed=0)
         assert rows and all(r.passed for r in rows), rows
         calls[samples] = (roots[0], tables[0])
     assert calls[40] == calls[80]
     assert calls[40][0] >= 1
+
+
+def test_qubit_suite_has_no_per_state_closed_form_or_matrix(monkeypatch):
+    # The closed forms and the Bloch-to-matrix step take the whole block.
+    calls = [0]
+    for name in ("qubit_complexity", "bloch_to_state"):
+        for module in (complexity, states, verify):
+            if hasattr(module, name):
+                _count_calls(monkeypatch, [module], name, calls)
+    rows = verify.suite_qubit(samples=40, seed=0)
+    assert rows and all(r.passed for r in rows), rows
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("d", [6, 7, 16])

@@ -65,6 +65,26 @@ def test_weyl_matrix_rejects_out_of_range_index():
         weyl_matrix(3, 0, -1)
 
 
+def test_weyl_matrix_and_tau_power_take_integers_only():
+    # A bool used to be taken as 1, a float index raised IndexError, a float
+    # exponent was truncated and d = 0 returned NaN.
+    for k, l in ((True, 0), (1.0, 0), (0, np.float64(2.0)), (0, "1")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            weyl_matrix(3, k, l)
+    assert np.array_equal(weyl_matrix(3, np.int64(1), np.int32(2)), weyl_matrix(3, 1, 2))
+    for e in (1.5, 2.0, True, np.float64(1.0)):
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            tau_power(3, e)
+    for e in (np.array([1.0, 2.0]), [1, 2.5], np.array([True, False])):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            tau_power(3, e)
+    for d in (0, 1, 3.0):
+        with pytest.raises(ValueError, match="dimension"):
+            tau_power(d, 1)
+    assert tau_power(3, np.int64(4)) == tau_power(3, 4)
+    assert np.array_equal(tau_power(3, np.arange(6, dtype=np.int32)), tau_power(3, np.arange(6)))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_product_phase_law_exact_all_pairs(d):
     for k1 in range(d):
