@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DensityState, _as_square, check_dim, psd_sqrt
+from .matcore import DensityState, _as_square, _power_sums, check_dim, psd_sqrt
 from .weyl import weyl_coefficient_table, weyl_expand
 
 SOURCE_STATE = "state"
@@ -138,8 +138,3 @@ def _lp_moments(tables: np.ndarray, p: float) -> np.ndarray:
     # One scalar pow per member: np.power on an array may take a vector pow
     # (AVX-512) that rounds differently, and printed moments carry the bits.
     return np.array([total ** (1.0 / p) for total in sums])
-
-
-def _power_sums(tables: np.ndarray, p: float) -> np.ndarray:
-    """sum |c(k, l)|^p of each table of a stack (..., d, d): the one power-sum reduction."""
-    return (np.abs(tables) ** p).sum(axis=(-2, -1))

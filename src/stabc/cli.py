@@ -24,6 +24,7 @@ import numpy as np
 from .charfun import char_table, lp_moment, sqrt_char_table
 from .complexity import (
     RhoPFamily,
+    _reports,
     complexity_report,
     complexity_upper_bound,
     pure_complexity_floor,
@@ -33,6 +34,7 @@ from .complexity import (
 from .errors import NoKnownFiducialError, StateFileError
 from .matcore import (
     DensityState,
+    _checked_sqrt_stack,
     random_mixed_stack,
     random_pure_vectors,
     random_rank_mixed_stack,
@@ -169,11 +171,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_extremal(args) -> int:
     d = args.d
-    group = enumerate_stabilizer_states(d)
-    c_values = [complexity_report(s).c_value for s in group.states]
+    projectors = np.stack([s.rho for s in enumerate_stabilizer_states(d).states])
+    c_values = [r.c_value for r in _reports(projectors, _checked_sqrt_stack(projectors))]
     doc: dict = {
         "dim": d,
-        "stabilizer_count": len(group.states),
+        "stabilizer_count": len(c_values),
         "stabilizer_c_min": min(c_values),
         "stabilizer_c_max": max(c_values),
         "pure_floor": pure_complexity_floor(d),

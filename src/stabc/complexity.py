@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charfun import SOURCE_SQRT_STATE, _checked_tables, _power_sums, char_table
+from .charfun import SOURCE_SQRT_STATE, SOURCE_STATE, _checked_tables
 from .errors import NotHermitianError
 from .matcore import (
     HERMITIAN_TOL,
@@ -38,7 +38,8 @@ from .matcore import (
     _batch_psd_sqrt,
     _check_int,
     _hs_norms,
-    _pure_rule,
+    _power_sums,
+    _pure_members,
     check_dim,
     psd_sqrt,
     random_mixed_stack,
@@ -210,42 +211,44 @@ def complexity_report(rho: DensityState) -> ComplexityReport:
     Raises if any internal consistency check fails: the definition route's
     trace/norm and root-Hermiticity checks, the agreement of the two routes,
     the global bounds, or (for pure states) the complementarity with the
-    fourth-moment magic witness.
+    fourth-moment magic witness.  The one-row case of :func:`_reports`.
     """
-    d = rho.dim
-    jordan, lie = _definition_tables(psd_sqrt(rho)[None])
-    jordan, lie = jordan[0], lie[0]
-    c_def = float((jordan * lie).sum())
-    c_mom = complexity_by_moments(rho)
-    gap = abs(c_def - c_mom)
-    if not gap <= _PATH_GAP_TOL * d * d:
-        raise ArithmeticError(f"route disagreement {gap:.3e} exceeds {_PATH_GAP_TOL * d * d:.1e}")
-    if not -_BOUND_SLACK <= c_mom <= complexity_upper_bound(d) + _BOUND_SLACK:
-        raise ArithmeticError(f"complexity {c_mom} outside [0, {complexity_upper_bound(d)}]")
+    return _reports(rho.rho[None], psd_sqrt(rho)[None])[0]
 
-    purity = rho.purity()
-    m4_fourth = None
-    # Complementarity holds for pure states only (DensityState.is_pure).
-    if _pure_rule(rho, purity):
-        m4_fourth = float(_power_sums(char_table(rho).values, 4))
-        if not abs(m4_fourth + c_mom - d * d) <= _COMPLEMENTARITY_TOL:
-            raise ArithmeticError(
-                f"pure-state complementarity defect {abs(m4_fourth + c_mom - d * d):.3e}"
-            )
+
+def _reports(rhos: np.ndarray, roots: np.ndarray) -> list[ComplexityReport]:
+    """:func:`complexity_report` of each member of a stack (n, d, d), given its checked roots.
+
+    Each check runs on every member, in the order listed above, and an error
+    reports the worst member.  Only members that pass the purity rule get state tables.
+    """
+    d = roots.shape[-1]
+    jordan, lie = _definition_tables(roots)
+    c_def = (jordan * lie).sum(axis=(1, 2))
+    c_mom = _moment_complexities(roots)
+    gap = np.abs(c_def - c_mom)
+    tol = _PATH_GAP_TOL * d * d
+    if not gap.max(initial=0.0) <= tol:
+        raise ArithmeticError(f"route disagreement {gap.max():.3e} exceeds {tol:.1e}")
+    ceiling = complexity_upper_bound(d)
+    outside = np.maximum(-c_mom, c_mom - ceiling)
+    if not outside.max(initial=0.0) <= _BOUND_SLACK:
+        raise ArithmeticError(f"complexity {c_mom[np.argmax(outside)]} outside [0, {ceiling}]")
+
+    purities, at = _pure_members(rhos, lambda: roots)
+    m4_fourth = {}
+    if at.size:
+        m4 = _power_sums(_checked_tables(rhos[at], SOURCE_STATE), 4)
+        defect = np.abs(m4 + c_mom[at] - d * d).max()
+        if not defect <= _COMPLEMENTARITY_TOL:
+            raise ArithmeticError(f"pure-state complementarity defect {defect:.3e}")
+        m4_fourth = dict(zip(at.tolist(), m4.tolist()))
 
     jordan.setflags(write=False)
     lie.setflags(write=False)
-    return ComplexityReport(
-        dim=d,
-        c_value=c_mom,
-        c_via_definition=c_def,
-        c_via_moments=c_mom,
-        jordan_table=jordan,
-        lie_table=lie,
-        path_gap=gap,
-        purity=purity,
-        m4_fourth_power=m4_fourth,
-    )
+    fields = zip(c_mom.tolist(), c_def.tolist(), jordan, lie, gap.tolist(), purities.tolist())
+    return [ComplexityReport(d, c, c_d, c, jt, lt, g, p, m4_fourth.get(n))
+            for n, (c, c_d, jt, lt, g, p) in enumerate(fields)]
 
 
 def qubit_complexity(bloch: BlochVector | tuple[float, float, float]) -> float:

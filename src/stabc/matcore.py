@@ -112,24 +112,19 @@ class DensityState:
         return self._rho.shape[0]
 
     def purity(self) -> float:
-        """tr(rho^2)."""
-        return float((np.abs(self._rho) ** 2).sum())
+        """tr(rho^2): the one-row case of :func:`_power_sums` with p = 2."""
+        return float(_power_sums(self._rho[None], 2)[0])
 
     def is_pure(self) -> bool:
-        """Purity 1 and a rank-one square root, both within PURITY_TOL.
-
-        Purity alone is not enough: C moves with the root's sqrt(lambda_2),
-        and purity accepts lambda_2 up to ~5e-9, where C is off by ~1e-4.  So
-        the root must have rank one as well: (tr S)^2 - tr rho =
-        sum_{i != j} sqrt(lambda_i lambda_j) is rounding-level for it and at
-        least 2 sqrt(SQRT_RANK_RCOND) ~ 6e-7 for any root of higher rank.
-        """
-        return _pure_rule(self, self.purity())
+        """The one-row case of :func:`_pure_members`; the root is taken only if purity passes."""
+        return _pure_members(self._rho[None], lambda: psd_sqrt(self)[None])[1].size == 1
 
     @classmethod
     def pure(cls, vector: np.ndarray) -> "DensityState":
-        """Rank-1 projector onto a (re)normalized state vector."""
-        v = np.asarray(vector, dtype=complex).reshape(-1)
+        """Rank-1 projector onto a (re)normalized state vector, given as a 1-D array."""
+        v = np.asarray(vector, dtype=complex)
+        if v.ndim != 1:
+            raise ValueError(f"expected a state vector (1-D), got shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("state vector has non-finite entries")
         n = np.linalg.norm(v)
@@ -147,11 +142,30 @@ class DensityState:
         return f"DensityState(dim={self.dim}, purity={self.purity():.6f})"
 
 
-def _pure_rule(state: DensityState, purity: float) -> bool:
-    """:meth:`DensityState.is_pure` for a caller that already holds the purity."""
-    return purity >= 1.0 - PURITY_TOL and (
-        float(psd_sqrt(state).trace().real) ** 2 - float(state.rho.trace().real) <= PURITY_TOL
-    )
+def _power_sums(stack: np.ndarray, p: float) -> np.ndarray:
+    """sum |x|^p of each matrix of a stack (..., d, d): the one power-sum reduction.
+
+    Over characteristic tables it gives the moments; at p = 2 over states, the purity.
+    """
+    return (np.abs(stack) ** p).sum(axis=(-2, -1))
+
+
+def _pure_members(rhos: np.ndarray, roots) -> tuple[np.ndarray, np.ndarray]:
+    """The one purity rule: the purities of a stack's members and the indices of the pure ones.
+
+    Pure means purity 1 and a rank-one root, both within PURITY_TOL.  Purity
+    alone accepts lambda_2 up to ~5e-9, where C, which moves with sqrt(lambda_2),
+    is off by ~1e-4.  (tr S)^2 - tr rho = sum_{i != j} sqrt(lambda_i lambda_j)
+    is rounding-level for a rank-one root and at least 2 sqrt(SQRT_RANK_RCOND)
+    ~ 6e-7 for any other.  ``roots()`` gives the stack's roots; it is asked
+    only if some member's purity passes, and only those members are traced.
+    """
+    purities = _power_sums(rhos, 2)
+    at = (purities >= 1.0 - PURITY_TOL).nonzero()[0]
+    if at.size:
+        traces = roots().diagonal(axis1=1, axis2=2)[at].sum(axis=1).real
+        at = at[traces**2 - rhos.diagonal(axis1=1, axis2=2)[at].sum(axis=1).real <= PURITY_TOL]
+    return purities, at
 
 
 def psd_sqrt(state: DensityState) -> np.ndarray:

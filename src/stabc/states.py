@@ -25,8 +25,7 @@ from .errors import (
     NotNormalizedError,
     NotPrimeError,
 )
-from .charfun import _power_sums
-from .matcore import DensityState, check_dim
+from .matcore import DensityState, _power_sums, check_dim
 from .weyl import WeylIndex, tau_power, weyl_coefficient_table
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -175,9 +174,11 @@ def certify_fiducial(f: np.ndarray) -> tuple[bool, float]:
 
     Computes |<f| D(k,l) |f>|^2 for all (k, l) != (0, 0) and reports the
     maximum deviation from 1/(d+1); the candidate is certified iff that
-    deviation is at most 1e-8.
+    deviation is at most 1e-8.  ``f`` must be a 1-D array.
     """
-    f = np.asarray(f, dtype=complex).reshape(-1)
+    f = np.asarray(f, dtype=complex)
+    if f.ndim != 1:
+        raise ValueError(f"expected a fiducial vector (1-D), got shape {f.shape}")
     d = check_dim(f.size)
     if not np.isfinite(f).all():
         raise NotNormalizedError("fiducial candidate has non-finite entries")

@@ -20,7 +20,6 @@ from .charfun import (
     SOURCE_STATE,
     _checked_tables,
     _lp_moments,
-    _power_sums,
     char_table,
     reconstruct,
 )
@@ -29,9 +28,9 @@ from .complexity import (
     _definition_tables,
     _moment_complexities,
     _qubit_closed_forms,
+    _reports,
     batch_complexity,
     complexity_by_moments,
-    complexity_report,
     complexity_upper_bound,
     concavity_witness,
     convexity_scan,
@@ -46,6 +45,7 @@ from .matcore import (
     DensityState,
     _check_int,
     _checked_sqrt_stack,
+    _power_sums,
     haar_unitary,
     hs_norm,
     psd_sqrt,
@@ -195,10 +195,11 @@ def suite_tradeoff(dims=None, samples=None, seed=0) -> list[CheckResult]:
     rng = _rng_for(seed, 3)
     results = []
     for d in dims:
+        # Every member goes through the report and its checks.
         block = _sample_block(d, n, rng)
-        # One report per d keeps the report's own path exercised.
-        complexity_report(DensityState(block[0], check=False))
-        jordan, lie = _definition_tables(_checked_sqrt_stack(block))
+        reports = _reports(block, _checked_sqrt_stack(block))
+        jordan = np.array([r.jordan_table for r in reports])
+        lie = np.array([r.lie_table for r in reports])
         results.append(_leq(f"tradeoff-sum-defect-d{d}", np.abs(jordan + lie - 2.0).max(), 1e-10))
     return results
 
@@ -308,12 +309,12 @@ def suite_rho_p(dims=None, seed=0) -> list[CheckResult]:
         psi = DensityState.pure(np.eye(d, dtype=complex)[:, 0])
         fam = RhoPFamily(psi, 0.5)
         c_psi = complexity_by_moments(psi)
-        worst = 0.0
-        for p in np.linspace(0.0, 1.0, 21):
-            analytic = rho_p_complexity_analytic(replace(fam, p=float(p)), c_psi)
-            generic = complexity_by_moments(rho_p_state(replace(fam, p=float(p))))
-            worst = max(worst, abs(analytic - generic))
-        results.append(_leq(f"mixing-family-closed-form-gap-d{d}", worst, 1e-9))
+        members = [replace(fam, p=float(p)) for p in np.linspace(0.0, 1.0, 21)]
+        generic = _moment_complexities(_checked_sqrt_stack(
+            np.stack([rho_p_state(member).rho for member in members])))
+        analytic = [rho_p_complexity_analytic(member, c_psi) for member in members]
+        results.append(_leq(f"mixing-family-closed-form-gap-d{d}",
+                            np.abs(analytic - generic).max(), 1e-9))
 
         curv = rho_p_second_derivative(fam, 0.0, 1e-4)
         target = d * d * (d - 1)
@@ -386,8 +387,8 @@ def suite_stabilizers(dims=None, samples=None, seed=0) -> list[CheckResult]:
         results.append(CheckResult(f"stabilizer-count-d{d}", float(len(group.states)), None,
                                    count_ok, f"expected {d * (d + 1)}"))
         floor = pure_complexity_floor(d)
-        worst = max(abs(complexity_by_moments(s) - floor) for s in group.states)
-        results.append(_leq(f"stabilizer-floor-attainment-d{d}", worst, 1e-9))
+        c = _moment_complexities(_checked_sqrt_stack(np.stack([s.rho for s in group.states])))
+        results.append(_leq(f"stabilizer-floor-attainment-d{d}", np.abs(c - floor).max(), 1e-9))
 
         n = samples or 300
         c = batch_complexity(random_pure_stack(d, n, rng))
@@ -401,16 +402,14 @@ def suite_fiducials(dims=None, seed=0) -> list[CheckResult]:
     for d in dims:
         fid = known_fiducial(d)
         results.append(_leq(f"fiducial-overlap-deviation-d{d}", fid.max_deviation, 1e-10))
-        c = complexity_by_moments(fid.projector())
+        # The fiducial, then its orbit D(k,l) P D(k,l)^dag, evaluated as one stack.
+        proj = fid.projector().rho
+        ops = np.stack([weyl_matrix(d, k, l) for k in range(d) for l in range(d)])
+        c = _moment_complexities(_checked_sqrt_stack(
+            np.concatenate([proj[None], ops @ proj @ ops.conj().swapaxes(1, 2)])))
         results.append(_leq(f"fiducial-ceiling-attainment-d{d}",
-                            abs(c - complexity_upper_bound(d)), 1e-9))
-        worst = 0.0
-        for k in range(d):
-            for l in range(d):
-                dkl = weyl_matrix(d, k, l)
-                orbit = DensityState(dkl @ fid.projector().rho @ dkl.conj().T, check=False)
-                worst = max(worst, abs(complexity_by_moments(orbit) - c))
-        results.append(_leq(f"fiducial-orbit-invariance-d{d}", worst, 1e-9))
+                            abs(c[0] - complexity_upper_bound(d)), 1e-9))
+        results.append(_leq(f"fiducial-orbit-invariance-d{d}", np.abs(c[1:] - c[0]).max(), 1e-9))
 
     if 2 in dims:
         _, basis_dev = certify_fiducial(np.array([1.0, 0.0], dtype=complex))

@@ -46,7 +46,11 @@ def test_second_implementations_are_gone():
     assert not hasattr(complexity, "_PURITY_THRESHOLD")
     # The report's trade-off check compared (1 + x) + (1 - x) with 2.
     assert not hasattr(complexity, "_TRADEOFF_TOL")
-    # Every sum |c|^4 over a characteristic table goes through charfun._power_sums.
+    # One purity rule over stacks, and one report kernel: the suites call it
+    # on whole blocks, not complexity_report on one member.
+    assert not hasattr(matcore, "_pure_rule")
+    assert not hasattr(verify, "complexity_report")
+    # Every sum |c|^4 over a characteristic table goes through matcore._power_sums.
     # Left: the closed forms, whose 4th powers are of Bloch components and
     # root weights, and the explicit-operator row that checks the table kernel.
     assert set().union(*map(_fourth_powers, (complexity, states, verify))) == {

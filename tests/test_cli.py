@@ -154,12 +154,29 @@ SAMPLE_ARGS = ["sample", "--d", "3", "--samples", "4", "--seed", "5", "--kind"]
     ([*SAMPLE_ARGS, "pure"], "sample_pure_d3_n4_seed5.txt"),
     ([*SAMPLE_ARGS, "mixed", "--rank", "2"], "sample_mixed_rank2_d3_n4_seed5.txt"),
     ([*SAMPLE_ARGS, "mixed"], "sample_mixed_d3_n4_seed5.txt"),
+    (["extremal", "--d", "3"], "extremal_d3.txt"),
+    (["extremal", "--d", "13"], "extremal_d13.txt"),
 ])
 def test_output_matches_golden_file(capsys, argv, golden):
     # Written by these command lines (the verify and sweep files while the
     # convexity suite still re-evaluated its witness mixture, the sample files
-    # while each state was drawn alone); pins the text output byte for byte.
+    # while each state was drawn alone, the extremal files while each
+    # stabilizer state had its own report); pins the text output byte for byte.
     code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("sample, golden", [
+    ("sample_pure_d3_n4_seed5.txt", "compute_tables_pure_d3_seed5.txt"),
+    ("sample_mixed_d3_n4_seed5.txt", "compute_tables_mixed_d3_seed5.txt"),
+])
+def test_compute_tables_match_golden_file(tmp_path, capsys, sample, golden):
+    # `compute --tables` on the first state of a sample golden file, written
+    # while the report was a single-state function; the pure state's output
+    # carries the complementarity fields.
+    path = write_state(tmp_path, json.loads((GOLDEN / sample).read_text())[0])
+    code, out, _ = run_cli(capsys, "compute", "--tables", path)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
 

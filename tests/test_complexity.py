@@ -1,6 +1,7 @@
+import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from stabc import (
     concavity_witness,
     convexity_scan,
     convexity_witness_states,
+    enumerate_stabilizer_states,
     fourier_gate,
     haar_unitary,
     jordan_lie_terms,
@@ -42,8 +44,14 @@ from stabc import (
     weyl_matrix,
 )
 from stabc import complexity
-from stabc.complexity import _SCAN_BLOCK, _definition_tables, _moment_complexities
-from stabc.matcore import _batch_psd_sqrt, _checked_sqrt_stack, random_mixed_stack
+from stabc.complexity import _SCAN_BLOCK, _definition_tables, _moment_complexities, _reports
+from stabc.matcore import (
+    _batch_psd_sqrt,
+    _checked_sqrt_stack,
+    _pure_members,
+    random_mixed_stack,
+    random_pure_stack,
+)
 
 T_STATE = bloch_to_state(BlochVector(*(np.ones(3) / np.sqrt(3))))
 
@@ -265,6 +273,84 @@ def test_report_m4_only_for_rank_one_roots():
     assert complexity_report(near).m4_fourth_power is None
     for psi in (basis_state(3), known_fiducial(3).projector(), random_pure(64, 1)):
         assert complexity_report(psi).m4_fourth_power is not None
+
+
+def _report_stack(d):
+    """Haar-pure, stabilizer, full-rank and rank-2 members, then a near-pure one.
+
+    The last member has purity >= 1 - 1e-8 but a root of rank two, so it is
+    not pure (test_matcore's near-pure state): the first 3 + (d + 1) members
+    are pure and the rest are not.
+    """
+    rng = np.random.default_rng(d)
+    near = np.diag([1 - 3e-9, 3e-9] + [0.0] * (d - 2)).astype(complex)
+    stabilizers = np.stack([s.rho for s in enumerate_stabilizer_states(d).states[::d]])
+    return np.concatenate([random_pure_stack(d, 3, rng), stabilizers,
+                           random_mixed_stack(d, [d, d, 2], rng), near[None]])
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_stacked_reports_are_bitwise_the_one_row_report(d):
+    rhos = _report_stack(d)
+    reports = _reports(rhos, _checked_sqrt_stack(rhos))
+    has_m4 = [r.m4_fourth_power is not None for r in reports]
+    assert has_m4 == [i < 3 + d + 1 for i in range(len(rhos))]
+    for rho, rep in zip(rhos, reports):
+        one = complexity_report(DensityState(rho))
+        for field in fields(rep):
+            got, expected = getattr(rep, field.name), getattr(one, field.name)
+            if isinstance(got, np.ndarray):
+                assert np.array_equal(got, expected) and not got.flags.writeable, field.name
+            else:
+                assert type(got) is type(expected) and got == expected, field.name
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_stacked_purity_rule_is_is_pure_per_member(d):
+    rhos = _report_stack(d)
+    roots = _checked_sqrt_stack(rhos)
+    purities, pure = _pure_members(rhos, lambda: roots)
+    states = [DensityState(rho, check=False) for rho in rhos]
+    assert pure.tolist() == [i for i, state in enumerate(states) if state.is_pure()]
+    assert purities.tolist() == [state.purity() for state in states]
+
+
+def test_purity_rule_takes_no_root_below_the_purity_threshold():
+    rhos = random_mixed_stack(3, [3, 2], np.random.default_rng(0))
+
+    def refuse():
+        raise AssertionError("roots asked for")
+
+    assert _pure_members(rhos, refuse)[1].size == 0
+    state = DensityState(rhos[0], check=False)
+    assert not state.is_pure() and state._sqrt is None
+
+
+def test_reports_name_the_worst_complementarity_defect():
+    # Member i holds state order[i] but root i: members 1-3 pass the purity
+    # rule and fail complementarity by |C(root i) - C(state order[i])|, and
+    # the worst is neither the first nor the last of them.
+    d = 3
+    rhos = random_pure_stack(d, 4, np.random.default_rng(8))
+    roots = _checked_sqrt_stack(rhos)
+    c = _moment_complexities(roots)
+    order = [0, 2, 3, 1]
+    defects = np.abs(c - c[order])
+    assert np.argmax(defects) == 2 and np.sort(defects)[-1] - np.sort(defects)[-2] > 0.1
+    with pytest.raises(ArithmeticError, match="complementarity defect") as err:
+        _reports(rhos[order], roots)
+    reported = float(re.search(r"defect (\S+)", str(err.value)).group(1))
+    assert reported == pytest.approx(defects.max(), rel=1e-3)
+
+
+def test_reports_name_the_member_farthest_outside_the_bounds(monkeypatch):
+    # A slack of -1 moves the ceiling 7.5 down to 6.5, below some pure-state values.
+    rhos = random_pure_stack(3, 12, np.random.default_rng(5))
+    c = _moment_complexities(_checked_sqrt_stack(rhos))
+    assert (c > 6.5).sum() >= 2
+    monkeypatch.setattr(complexity, "_BOUND_SLACK", -1.0)
+    with pytest.raises(ArithmeticError, match=re.escape(f"complexity {c.max()} outside")):
+        _reports(rhos, _checked_sqrt_stack(rhos))
 
 
 # -- qubit closed form ---------------------------------------------------------
@@ -727,6 +813,7 @@ def test_empty_stacks_give_empty_results(d):
     assert roots.shape == (0, d, d)
     assert _moment_complexities(roots).shape == (0,)
     assert all(table.shape == (0, d, d) for table in _definition_tables(roots))
+    assert _reports(empty, roots) == []
 
 
 def test_batch_complexity_validates_shape():

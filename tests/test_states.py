@@ -221,6 +221,16 @@ def test_certify_rejects_non_finite():
         certify_fiducial(np.array([np.nan, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.eye(2) / np.sqrt(2), np.array([[1.0, 0.0]]), np.array(1.0)])
+def test_pure_state_and_certificate_refuse_non_vectors(bad):
+    # Both used to flatten their input: the identity became a d = 4 state
+    # and a 4-vector graded as a fiducial (deviation 0.3).
+    with pytest.raises(ValueError, match="1-D"):
+        DensityState.pure(bad)
+    with pytest.raises(ValueError, match="1-D"):
+        certify_fiducial(bad)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_fiducial_orbit_is_equally_complex(d):
     fid = known_fiducial(d)

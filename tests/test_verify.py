@@ -1,12 +1,12 @@
-"""Work-shape guards on the verify suites: how often they call the state
-samplers, the root kernel and the Weyl operator builder; and the dimensions
-every suite accepts."""
+"""Work-shape guards on the verify suites and ``stabc extremal``: how often
+they call the state samplers, the root kernel, the report kernel and the Weyl
+operator builder; and the dimensions every suite accepts."""
 
 import inspect
 
 import pytest
 
-from stabc import charfun, complexity, matcore, states, verify, weyl
+from stabc import charfun, cli, complexity, matcore, states, verify, weyl
 
 SAMPLERS = ("random_pure", "random_mixed", "random_pure_stack", "random_mixed_stack",
             "random_rank_mixed_stack")
@@ -55,6 +55,44 @@ def test_suites_evaluate_samples_per_block_not_per_state(monkeypatch, suite):
         calls[samples] = (roots[0], tables[0])
     assert calls[40] == calls[80]
     assert calls[40][0] >= 1
+
+
+def test_tradeoff_suite_reports_each_block_in_one_call(monkeypatch):
+    tables, reports = [0], [0]
+    _count_calls(monkeypatch, [complexity, verify], "_definition_tables", tables)
+    _count_calls(monkeypatch, [complexity, cli], "complexity_report", reports)
+    dims = (2, 3)
+    rows = verify.suite_tradeoff(dims=dims, samples=40, seed=0)
+    assert rows and all(r.passed for r in rows), rows
+    assert tables[0] == len(dims) and reports[0] == 0
+
+
+@pytest.mark.parametrize("suite, most", [("stabilizers", 2), ("fiducials", 1), ("rho-p", 4)])
+def test_deterministic_suites_take_a_fixed_number_of_roots_per_dimension(monkeypatch, suite, most):
+    # The stabilizer states, the fiducial's orbit and the family members are
+    # one stack each, so the count does not grow with d.
+    counts = set()
+    for d in (2, 3, 5, 7):
+        roots = [0]
+        with monkeypatch.context() as patch:
+            _count_calls(patch, [matcore, complexity], "_batch_psd_sqrt", roots)
+            try:
+                [(_, rows)] = verify.run_suites([suite], dims=[d], seed=0)
+            except ValueError:  # no built-in fiducial
+                continue
+        assert rows and all(r.passed for r in rows), rows
+        counts.add(roots[0])
+    assert len(counts) == 1 and 1 <= counts.pop() <= most
+
+
+@pytest.mark.parametrize("d, fiducial", [(3, 1), (5, 0), (13, 0)])
+def test_extremal_evaluates_its_stabilizer_states_in_one_call(monkeypatch, capsys, d, fiducial):
+    roots, tables = [0], [0]
+    _count_calls(monkeypatch, [matcore, complexity], "_batch_psd_sqrt", roots)
+    _count_calls(monkeypatch, [complexity, verify], "_definition_tables", tables)
+    assert cli.main(["extremal", "--d", str(d)]) == 0
+    capsys.readouterr()
+    assert roots[0] == tables[0] == 1 + fiducial
 
 
 def test_qubit_suite_has_no_per_state_closed_form_or_matrix(monkeypatch):
