@@ -88,6 +88,16 @@ def _checked_tables(stack: np.ndarray, source: str) -> np.ndarray:
     return tables
 
 
+def _moment_complexities(roots: np.ndarray) -> np.ndarray:
+    """d^2 - sum |c(k,l)(S)|^4 for each root S of a stack (n, d, d): the one moment-route kernel.
+
+    Every C reduces here.  Each table is checked as a ``sqrt_state`` table
+    (sum |c|^2 = d), so a member whose trace is not 1 raises ValueError.
+    """
+    d = roots.shape[-1]
+    return d * d - _power_sums(_checked_tables(roots, SOURCE_SQRT_STATE), 4)
+
+
 def char_table(a: np.ndarray | DensityState) -> CharTable:
     """Characteristic table c(k, l) = tr(D(k, l) A).
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .charfun import SOURCE_SQRT_STATE, SOURCE_STATE, _checked_tables
+from .charfun import SOURCE_STATE, _checked_tables, _moment_complexities
 from .errors import NotHermitianError
 from .matcore import (
     HERMITIAN_TOL,
@@ -42,7 +42,7 @@ from .matcore import (
     _pure_members,
     check_dim,
     psd_sqrt,
-    random_mixed_stack,
+    random_rank_mixed_stack,
 )
 from .states import BlochVector
 from .weyl import WeylIndex, _table_constants
@@ -172,18 +172,6 @@ def complexity_by_moments(rho: DensityState) -> float:
     return float(_moment_complexities(psd_sqrt(rho)[None])[0])
 
 
-def _moment_complexities(roots: np.ndarray) -> np.ndarray:
-    """d^2 - sum |c(k,l)(S)|^4 for each root S of a stack (n, d, d).
-
-    The one moment-route kernel: every scalar and stacked C reduces here.
-    Each square-root table is checked (sum |c|^2 = d) as a ``sqrt_state``
-    :class:`~stabc.charfun.CharTable` would be, so a member whose trace is
-    not 1 raises ValueError.
-    """
-    d = roots.shape[-1]
-    return d * d - _power_sums(_checked_tables(roots, SOURCE_SQRT_STATE), 4)
-
-
 @dataclass(frozen=True)
 class ComplexityReport:
     """Both complexity routes with their per-point tables and diagnostics.
@@ -235,7 +223,7 @@ def _reports(rhos: np.ndarray, roots: np.ndarray) -> list[ComplexityReport]:
     if not outside.max(initial=0.0) <= _BOUND_SLACK:
         raise ArithmeticError(f"complexity {c_mom[np.argmax(outside)]} outside [0, {ceiling}]")
 
-    purities, at = _pure_members(rhos, lambda: roots)
+    purities, at = _pure_members(rhos, roots)
     m4_fourth = {}
     if at.size:
         m4 = _power_sums(_checked_tables(rhos[at], SOURCE_STATE), 4)
@@ -447,10 +435,8 @@ def convexity_scan(d: int, samples: int, seed) -> list[ConvexityViolation]:
     C(lam rho_1 + (1-lam) rho_2) > lam C(rho_1) + (1-lam) C(rho_2) + 1e-9,
     in sample order.  For d = 2 the expected outcome is an empty list.
 
-    The triples are drawn and evaluated in blocks of ``_SCAN_BLOCK``.  Each
-    block draws the ranks of its rho_1, then the rho_1 themselves
-    (:func:`~stabc.matcore.random_mixed_stack`), the same for rho_2, and
-    then the lambdas.
+    Each block of ``_SCAN_BLOCK`` triples draws its rho_1, then its rho_2
+    (:func:`~stabc.matcore.random_rank_mixed_stack`), then its lambdas.
     """
     d = check_dim(d)
     samples = _check_int(samples, "samples")
@@ -461,8 +447,7 @@ def convexity_scan(d: int, samples: int, seed) -> list[ConvexityViolation]:
     violations = _scan_block(_WITNESS_INDEX, rho_a.rho[None], rho_b.rho[None], np.array([lam]))
     for first in range(0, samples, _SCAN_BLOCK):
         n = min(_SCAN_BLOCK, samples - first)
-        rho_a, rho_b = (random_mixed_stack(d, rng.integers(1, d + 1, size=n), rng)
-                        for _ in range(2))
+        rho_a, rho_b = (random_rank_mixed_stack(d, n, rng) for _ in range(2))
         violations += _scan_block(first, rho_a, rho_b, rng.uniform(size=n))
     return violations
 

@@ -116,8 +116,8 @@ class DensityState:
         return float(_power_sums(self._rho[None], 2)[0])
 
     def is_pure(self) -> bool:
-        """The one-row case of :func:`_pure_members`; the root is taken only if purity passes."""
-        return _pure_members(self._rho[None], lambda: psd_sqrt(self)[None])[1].size == 1
+        """The one-row case of :func:`_pure_members`."""
+        return _pure_members(self._rho[None], psd_sqrt(self)[None])[1].size == 1
 
     @classmethod
     def pure(cls, vector: np.ndarray) -> "DensityState":
@@ -150,20 +150,20 @@ def _power_sums(stack: np.ndarray, p: float) -> np.ndarray:
     return (np.abs(stack) ** p).sum(axis=(-2, -1))
 
 
-def _pure_members(rhos: np.ndarray, roots) -> tuple[np.ndarray, np.ndarray]:
+def _pure_members(rhos: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The one purity rule: the purities of a stack's members and the indices of the pure ones.
 
     Pure means purity 1 and a rank-one root, both within PURITY_TOL.  Purity
     alone accepts lambda_2 up to ~5e-9, where C, which moves with sqrt(lambda_2),
     is off by ~1e-4.  (tr S)^2 - tr rho = sum_{i != j} sqrt(lambda_i lambda_j)
     is rounding-level for a rank-one root and at least 2 sqrt(SQRT_RANK_RCOND)
-    ~ 6e-7 for any other.  ``roots()`` gives the stack's roots; it is asked
-    only if some member's purity passes, and only those members are traced.
+    ~ 6e-7 for any other.  ``roots`` is the stack's roots; only the members
+    whose purity passes are traced.
     """
     purities = _power_sums(rhos, 2)
     at = (purities >= 1.0 - PURITY_TOL).nonzero()[0]
-    if at.size:
-        traces = roots().diagonal(axis1=1, axis2=2)[at].sum(axis=1).real
+    if at.size:  # indexing by an empty array costs more than the purity test itself
+        traces = roots.diagonal(axis1=1, axis2=2)[at].sum(axis=1).real
         at = at[traces**2 - rhos.diagonal(axis1=1, axis2=2)[at].sum(axis=1).real <= PURITY_TOL]
     return purities, at
 
@@ -267,19 +267,12 @@ def random_mixed_stack(d: int, ranks, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_rank_mixed_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Ginibre states, each of a rank drawn uniformly from 1..d.
+    """The uniform-rank Ginibre sampler: n states of ranks drawn uniformly from 1..d.
 
-    Each state's rank is drawn with ``rng.integers`` just before its normals,
-    the order of n sequential ``random_mixed(d, rng.integers(1, d + 1), rng)``
-    calls, so only the Gram matrices are stacked.
+    All n ranks come from one ``rng.integers`` draw, then the states from
+    :func:`random_mixed_stack`.
     """
-    d = check_dim(d)
-    ranks = np.empty(_check_int(n, "n"), dtype=int)
-    draws = [np.empty(0)]  # keeps the concatenation defined for n = 0
-    for i in range(ranks.size):
-        ranks[i] = rng.integers(1, d + 1)
-        draws.append(rng.standard_normal(2 * d * ranks[i]))
-    return _ginibre_stack(d, ranks, np.concatenate(draws))
+    return random_mixed_stack(d, rng.integers(1, check_dim(d) + 1, size=_check_int(n, "n")), rng)
 
 
 def _ginibre_stack(d: int, ranks: np.ndarray, normals: np.ndarray) -> np.ndarray:

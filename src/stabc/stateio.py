@@ -142,7 +142,9 @@ def load_state(path: str | Path) -> DensityState:
 
 
 def pure_state_dict(vector: np.ndarray) -> dict:
-    v = np.asarray(vector, dtype=complex).reshape(-1)
+    v = np.asarray(vector, dtype=complex)
+    if v.ndim != 1:
+        raise ValueError(f"expected a state vector (1-D), got shape {v.shape}")
     return {"dim": int(v.size), "kind": "pure", "amplitudes": _complex_to_pairs(v)}
 
 

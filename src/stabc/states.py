@@ -25,7 +25,8 @@ from .errors import (
     NotNormalizedError,
     NotPrimeError,
 )
-from .matcore import DensityState, _power_sums, check_dim
+from .charfun import _moment_complexities
+from .matcore import DensityState, check_dim
 from .weyl import WeylIndex, tau_power, weyl_coefficient_table
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -136,9 +137,9 @@ def enumerate_stabilizer_states(d: int) -> StabilizerSet:
     states = [DensityState.pure(vector) for block in blocks for vector in block]
     projectors = np.stack([state.rho for state in states])
 
-    # For projectors sqrt(rho) = rho, so the moment formula needs no eigensolve.
+    # For projectors sqrt(rho) = rho, so the moment route needs no eigensolve.
     floor = d * d - d
-    c = d * d - _power_sums(weyl_coefficient_table(projectors), 4)
+    c = _moment_complexities(projectors)
     off = np.flatnonzero(~(np.abs(c - floor) <= _EXTREMAL_TOL))
     if off.size:
         i = int(off[0])

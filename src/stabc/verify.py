@@ -16,17 +16,21 @@ from itertools import product
 import numpy as np
 
 from .charfun import (
+    _SQRT_NORM_TOL,
     SOURCE_SQRT_STATE,
     SOURCE_STATE,
     _checked_tables,
     _lp_moments,
+    _moment_complexities,
     char_table,
     reconstruct,
 )
 from .complexity import (
+    _BOUND_SLACK,
+    _COMPLEMENTARITY_TOL,
+    _PATH_GAP_TOL,
     RhoPFamily,
     _definition_tables,
-    _moment_complexities,
     _qubit_closed_forms,
     _reports,
     batch_complexity,
@@ -56,6 +60,7 @@ from .matcore import (
     random_rank_mixed_stack,
 )
 from .states import (
+    _EXTREMAL_TOL,
     _bloch_matrices,
     certify_fiducial,
     enumerate_stabilizer_states,
@@ -66,6 +71,7 @@ from .weyl import (
     clifford_conjugation_table,
     fourier_gate,
     weyl_basis_check,
+    weyl_coefficient_table,
     weyl_matrix,
     weyl_product_phase,
 )
@@ -170,10 +176,11 @@ def suite_charfun(dims=None, samples=None, seed=0) -> list[CheckResult]:
             worst_parseval = max(worst_parseval, abs(total - d * float(np.vdot(a, a).real)))
         results.append(_leq(f"charfun-parseval-d{d}", worst_parseval, 1e-9))
 
+        # Unchecked tables: the checked kernel would raise before a defect could FAIL the row.
         roots = _checked_sqrt_stack(_sample_block(d, n, rng))
-        totals = np.sum(np.abs(_checked_tables(roots, SOURCE_SQRT_STATE)) ** 2, axis=(1, 2))
+        totals = _power_sums(weyl_coefficient_table(roots), 2)
         results.append(_leq(f"charfun-sqrt-table-normalization-d{d}",
-                            np.abs(totals - d).max(), 1e-8))
+                            np.abs(totals - d).max(), _SQRT_NORM_TOL))
 
         pure = random_pure_stack(d, 20, rng)
         collapse = (_checked_tables(pure, SOURCE_STATE)
@@ -213,7 +220,7 @@ def suite_dual_path(dims=None, samples=None, seed=0) -> list[CheckResult]:
         roots = _checked_sqrt_stack(_sample_block(d, n, rng))
         jordan, lie = _definition_tables(roots)
         gap = np.abs(np.sum(jordan * lie, axis=(1, 2)) - _moment_complexities(roots))
-        results.append(_leq(f"dual-path-gap-d{d}", gap.max(), 1e-9 * d * d))
+        results.append(_leq(f"dual-path-gap-d{d}", gap.max(), _PATH_GAP_TOL * d * d))
     return results
 
 
@@ -224,13 +231,12 @@ def suite_bounds(dims=None, samples=None, seed=0) -> list[CheckResult]:
     results = []
     for d in dims:
         c_pure = batch_complexity(random_pure_stack(d, n, rng))
-        floor, ceil = pure_complexity_floor(d), complexity_upper_bound(d)
-        results.append(_leq(f"bounds-pure-floor-defect-d{d}", float((floor - c_pure).max()), 1e-9))
-        results.append(_leq(f"bounds-pure-ceiling-defect-d{d}", float((c_pure - ceil).max()), 1e-9))
-
         c_mixed = batch_complexity(random_rank_mixed_stack(d, n, rng))
-        results.append(_leq(f"bounds-mixed-floor-defect-d{d}", float((-c_mixed).max()), 1e-9))
-        results.append(_leq(f"bounds-mixed-ceiling-defect-d{d}", float((c_mixed - ceil).max()), 1e-9))
+        floor, ceil = pure_complexity_floor(d), complexity_upper_bound(d)
+        defects = {"pure-floor": floor - c_pure, "pure-ceiling": c_pure - ceil,
+                   "mixed-floor": -c_mixed, "mixed-ceiling": c_mixed - ceil}
+        results += [_leq(f"bounds-{name}-defect-d{d}", float(defect.max()), _BOUND_SLACK)
+                    for name, defect in defects.items()]
         results.append(
             _leq(f"bounds-maximally-mixed-zero-d{d}",
                  abs(complexity_by_moments(DensityState.maximally_mixed(d))), 1e-10)
@@ -282,7 +288,7 @@ def suite_complementarity(dims=None, samples=None, seed=0) -> list[CheckResult]:
         m4_fourth = _power_sums(_checked_tables(rhos, SOURCE_STATE), 4)
         c = batch_complexity(rhos)
         worst = float(np.abs(m4_fourth + c - d * d).max())
-        results.append(_leq(f"complementarity-pure-sum-defect-d{d}", worst, 1e-8))
+        results.append(_leq(f"complementarity-pure-sum-defect-d{d}", worst, _COMPLEMENTARITY_TOL))
     return results
 
 
@@ -388,11 +394,13 @@ def suite_stabilizers(dims=None, samples=None, seed=0) -> list[CheckResult]:
                                    count_ok, f"expected {d * (d + 1)}"))
         floor = pure_complexity_floor(d)
         c = _moment_complexities(_checked_sqrt_stack(np.stack([s.rho for s in group.states])))
-        results.append(_leq(f"stabilizer-floor-attainment-d{d}", np.abs(c - floor).max(), 1e-9))
+        results.append(_leq(f"stabilizer-floor-attainment-d{d}", np.abs(c - floor).max(),
+                            _EXTREMAL_TOL))
 
         n = samples or 300
         c = batch_complexity(random_pure_stack(d, n, rng))
-        results.append(_leq(f"stabilizer-floor-not-undercut-d{d}", float((floor - c).max()), 1e-9))
+        results.append(_leq(f"stabilizer-floor-not-undercut-d{d}", float((floor - c).max()),
+                            _BOUND_SLACK))
     return results
 
 

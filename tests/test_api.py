@@ -2,6 +2,8 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import stabc
 from stabc import DensityState, charfun, complexity, matcore, states, verify, weyl
 
@@ -50,6 +52,18 @@ def test_second_implementations_are_gone():
     # on whole blocks, not complexity_report on one member.
     assert not hasattr(matcore, "_pure_rule")
     assert not hasattr(verify, "complexity_report")
+    # One uniform-rank Ginibre sampler: one rank draw, then random_mixed_stack,
+    # and the convexity scan draws its ranks through it.
+    sampler = ast.parse(inspect.getsource(matcore.random_rank_mixed_stack))
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not [node for node in ast.walk(sampler) if isinstance(node, loops)]
+    assert "integers(" not in inspect.getsource(complexity)
+    # One moment-route kernel, in charfun: the stabilizer certificate goes through it.
+    assert complexity._moment_complexities is charfun._moment_complexities
+    assert not hasattr(states, "_power_sums")
+    # The purity rule takes the roots themselves, not a callable that makes them.
+    projector = np.diag([1.0, 0.0]).astype(complex)[None]
+    assert matcore._pure_members(projector, projector)[1].tolist() == [0]
     # Every sum |c|^4 over a characteristic table goes through matcore._power_sums.
     # Left: the closed forms, whose 4th powers are of Bloch components and
     # root weights, and the explicit-operator row that checks the table kernel.

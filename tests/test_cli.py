@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stabc import verify
 from stabc.cli import build_parser, main
 from stabc.errors import StateFileError
 from stabc.stateio import load_state
@@ -194,6 +195,20 @@ def test_run_that_checks_or_samples_nothing_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_sqrt_table_normalization_defect_is_a_fail_row(capsys, monkeypatch):
+    # States of trace 1 + 1e-8 have root tables with sum |c|^2 = d (1 + 1e-8).
+    # The row reports that 3e-8 defect at d = 3 as a FAIL (exit 1); the checked
+    # table kernel would raise ValueError first (exit 2).
+    sample_block = verify._sample_block
+    monkeypatch.setattr(verify, "_sample_block",
+                        lambda d, n, rng: sample_block(d, n, rng) * (1 + 1e-8))
+    code, out, _ = run_cli(capsys, "verify", "charfun", "--d", "3", "--samples", "20")
+    assert code == 1
+    failed = [line.split() for line in out.splitlines() if "FAIL" in line]
+    assert [row[1] for row in failed] == ["charfun-sqrt-table-normalization-d3"]
+    assert failed[0][3] == "tol=1e-09" and 2e-8 < float(failed[0][2].split("=")[1]) < 4e-8
 
 
 def test_verify_unknown_suite_exits_2(capsys):

@@ -309,21 +309,10 @@ def test_stacked_reports_are_bitwise_the_one_row_report(d):
 def test_stacked_purity_rule_is_is_pure_per_member(d):
     rhos = _report_stack(d)
     roots = _checked_sqrt_stack(rhos)
-    purities, pure = _pure_members(rhos, lambda: roots)
+    purities, pure = _pure_members(rhos, roots)
     states = [DensityState(rho, check=False) for rho in rhos]
     assert pure.tolist() == [i for i, state in enumerate(states) if state.is_pure()]
     assert purities.tolist() == [state.purity() for state in states]
-
-
-def test_purity_rule_takes_no_root_below_the_purity_threshold():
-    rhos = random_mixed_stack(3, [3, 2], np.random.default_rng(0))
-
-    def refuse():
-        raise AssertionError("roots asked for")
-
-    assert _pure_members(rhos, refuse)[1].size == 0
-    state = DensityState(rhos[0], check=False)
-    assert not state.is_pure() and state._sqrt is None
 
 
 def test_reports_name_the_worst_complementarity_defect():

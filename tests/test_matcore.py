@@ -154,9 +154,10 @@ def test_mixed_samplers_are_bitwise_sequential_draws(d):
     for rank in (1, d):
         assert np.array_equal(random_mixed(d, rank, 5).rho,
                               oracle_random_mixed(d, rank, np.random.default_rng(5)).rho)
+    # The uniform-rank sampler draws all n ranks first, then one state per rank.
     ref_rng, rng = np.random.default_rng(d + 1), np.random.default_rng(d + 1)
-    expected = np.array([oracle_random_mixed(d, int(ref_rng.integers(1, d + 1)), ref_rng).rho
-                         for _ in range(n)])
+    expected = np.array([random_mixed(d, rank, ref_rng).rho
+                         for rank in ref_rng.integers(1, d + 1, size=n)])
     assert np.array_equal(random_rank_mixed_stack(d, n, rng), expected)
     assert _same_stream(ref_rng, rng)
 

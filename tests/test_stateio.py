@@ -32,6 +32,13 @@ def test_pure_round_trip(tmp_path):
     assert np.allclose(state.rho, np.outer(vec, vec.conj()), atol=1e-12)
 
 
+@pytest.mark.parametrize("vector", [np.eye(2), np.ones((1, 2)), np.array(1.0)])
+def test_pure_state_dict_refuses_anything_but_a_vector(vector):
+    # As DensityState.pure does: a matrix is not flattened into a longer vector.
+    with pytest.raises(ValueError, match=r"expected a state vector \(1-D\)"):
+        pure_state_dict(vector)
+
+
 def test_density_round_trip(tmp_path):
     original = random_mixed(3, 2, 4)
     path = write(tmp_path, density_state_dict(original))
