@@ -19,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DensityState, _as_square, _power_sums, check_dim, psd_sqrt
+from .matcore import TRACE_TOL, DensityState, _as_square, _power_sums, check_dim, psd_sqrt
 from .weyl import weyl_coefficient_table, weyl_expand
 
 SOURCE_STATE = "state"
 SOURCE_SQRT_STATE = "sqrt_state"
 SOURCE_GENERIC = "generic"
 
-_STATE_TRACE_TOL = 1e-12
 _SQRT_NORM_TOL = 1e-9
 
 
@@ -65,7 +64,8 @@ def _check_invariant(tables: np.ndarray, source: str) -> None:
     first failing member's value.  :class:`CharTable` checks the one-row case.
     """
     if source == SOURCE_STATE:
-        what, values, target, tol = "state table has c(0,0)", tables[:, 0, 0], 1, _STATE_TRACE_TOL
+        # c(0,0) = tr(D(0,0) A) = tr A: the state's own trace bound.
+        what, values, target, tol = "state table has c(0,0)", tables[:, 0, 0], 1, TRACE_TOL
     elif source == SOURCE_SQRT_STATE:
         what, target, tol = "square-root table has sum |c|^2", tables.shape[-1], _SQRT_NORM_TOL
         values = _power_sums(tables, 2)

@@ -21,15 +21,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .charfun import char_table, lp_moment, sqrt_char_table
+from .charfun import (
+    SOURCE_STATE, _checked_tables, _lp_moments, char_table, lp_moment, sqrt_char_table,
+)
 from .complexity import (
     RhoPFamily,
+    _blocks,
     _reports,
+    _rho_p_closed_form,
+    _rho_p_stack,
     complexity_report,
     complexity_upper_bound,
     pure_complexity_floor,
-    rho_p_complexity_analytic,
-    rho_p_state,
 )
 from .errors import NoKnownFiducialError, StateFileError
 from .matcore import (
@@ -124,31 +127,32 @@ def cmd_sweep(args) -> int:
     if psi.dim != d:
         raise StateFileError(f"anchor state has dim {psi.dim}, sweep requested d={d}")
     c_psi = complexity_report(psi).c_value
+    RhoPFamily(psi, 0.0)  # refuses an anchor that is not pure
 
     grid = np.linspace(0.0, 1.0, args.steps)
     h = grid[1] - grid[0]
     rows = []
-    analytic = []
-    for p in grid:
-        family = RhoPFamily(psi, float(p))
-        state = rho_p_state(family)
-        rep = complexity_report(state)
-        c_closed = rho_p_complexity_analytic(family, c_psi)
-        if abs(c_closed - rep.c_value) > 1e-9:
-            raise ArithmeticError(
-                f"closed form {c_closed} and generic value {rep.c_value} disagree at p={p}"
-            )
-        analytic.append(c_closed)
-        rows.append({
-            "p": float(p),
-            "c_value": rep.c_value,
-            "c_analytic": c_closed,
-            "m4": lp_moment(char_table(state), 4.0),
-            "jordan_min": float(rep.jordan_table.min()),
-            "jordan_max": float(rep.jordan_table.max()),
-            "lie_min": float(rep.lie_table.min()),
-            "lie_max": float(rep.lie_table.max()),
-        })
+    for block in _blocks(args.steps, d):
+        rhos = _rho_p_stack(psi, grid[block])
+        reports = _reports(rhos, _checked_sqrt_stack(rhos))
+        m4 = _lp_moments(_checked_tables(rhos, SOURCE_STATE), 4.0)
+        for p, rep, m4_p in zip(grid[block].tolist(), reports, m4.tolist()):
+            c_closed = _rho_p_closed_form(d, p, c_psi)
+            if abs(c_closed - rep.c_value) > 1e-9:
+                raise ArithmeticError(
+                    f"closed form {c_closed} and generic value {rep.c_value} disagree at p={p}"
+                )
+            rows.append({
+                "p": p,
+                "c_value": rep.c_value,
+                "c_analytic": c_closed,
+                "m4": m4_p,
+                "jordan_min": float(rep.jordan_table.min()),
+                "jordan_max": float(rep.jordan_table.max()),
+                "lie_min": float(rep.lie_table.min()),
+                "lie_max": float(rep.lie_table.max()),
+            })
+    analytic = [row["c_analytic"] for row in rows]
     for i, row in enumerate(rows):
         if 0 < i < len(rows) - 1:
             row["second_difference"] = (analytic[i + 1] - 2 * analytic[i] + analytic[i - 1]) / h**2

@@ -24,7 +24,7 @@ states confined to [d^2 - d, d^2 - 2d/(d+1)].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +36,7 @@ from .matcore import (
     SQRT_RANK_RCOND,
     DensityState,
     _batch_psd_sqrt,
-    _check_int,
+    _check_count,
     _hs_norms,
     _power_sums,
     _pure_members,
@@ -285,10 +285,14 @@ class RhoPFamily:
 
 
 def rho_p_state(family: RhoPFamily) -> DensityState:
-    """The density operator p |psi><psi| + (1 - p) 1/d."""
-    d = family.dim
-    rho = family.p * family.psi.rho + (1.0 - family.p) * np.eye(d) / d
-    return DensityState(rho, check=False)
+    """The density operator p |psi><psi| + (1 - p) 1/d: the one-row case of :func:`_rho_p_stack`."""
+    return DensityState(_rho_p_stack(family.psi, [family.p])[0], check=False)
+
+
+def _rho_p_stack(psi: DensityState, ps) -> np.ndarray:
+    """The members p |psi><psi| + (1 - p) 1/d, one per p of ``ps``: an unchecked (n, d, d) stack."""
+    p = np.asarray(ps, dtype=float)[:, None, None]
+    return p * psi.rho + (1.0 - p) * np.eye(psi.dim) / psi.dim
 
 
 def _rho_p_closed_form(d: int, p: float, c_psi: float) -> float:
@@ -410,7 +414,8 @@ class ConvexityViolation:
 
 _WITNESS_INDEX = -1
 _CONVEXITY_TOL = 1e-9
-_SCAN_BLOCK = 4096
+# Matrix entries per block of any stacked evaluation (see _blocks): 4,096 qubit states.
+_BLOCK_ENTRIES = 2**14
 
 
 def convexity_witness_states(d: int) -> tuple[DensityState, DensityState, float]:
@@ -420,8 +425,14 @@ def convexity_witness_states(d: int) -> tuple[DensityState, DensityState, float]
     anchor itself at equal weight; the mixture is the p = 0.95 member.
     """
     psi = DensityState.pure(np.eye(check_dim(d), dtype=complex)[:, 0])
-    fam = RhoPFamily(psi, 0.9)
-    return rho_p_state(fam), rho_p_state(replace(fam, p=1.0)), 0.5
+    mixed, pure = (DensityState(rho, check=False) for rho in _rho_p_stack(psi, [0.9, 1.0]))
+    return mixed, pure, 0.5
+
+
+def _blocks(n: int, d: int) -> list[range]:
+    """The one block rule: range(n) cut into blocks of max(1, _BLOCK_ENTRIES // d^2) members."""
+    size = max(1, _BLOCK_ENTRIES // (d * d))
+    return [range(first, min(first + size, n)) for first in range(0, n, size)]
 
 
 def convexity_scan(d: int, samples: int, seed) -> list[ConvexityViolation]:
@@ -435,20 +446,17 @@ def convexity_scan(d: int, samples: int, seed) -> list[ConvexityViolation]:
     C(lam rho_1 + (1-lam) rho_2) > lam C(rho_1) + (1-lam) C(rho_2) + 1e-9,
     in sample order.  For d = 2 the expected outcome is an empty list.
 
-    Each block of ``_SCAN_BLOCK`` triples draws its rho_1, then its rho_2
+    Each block of :func:`_blocks` draws its rho_1, then its rho_2
     (:func:`~stabc.matcore.random_rank_mixed_stack`), then its lambdas.
     """
     d = check_dim(d)
-    samples = _check_int(samples, "samples")
-    if samples < 0:
-        raise ValueError(f"samples must be nonnegative, got {samples}")
+    samples = _check_count(samples, "samples")
     rng = np.random.default_rng(seed)
     rho_a, rho_b, lam = convexity_witness_states(d)
     violations = _scan_block(_WITNESS_INDEX, rho_a.rho[None], rho_b.rho[None], np.array([lam]))
-    for first in range(0, samples, _SCAN_BLOCK):
-        n = min(_SCAN_BLOCK, samples - first)
-        rho_a, rho_b = (random_rank_mixed_stack(d, n, rng) for _ in range(2))
-        violations += _scan_block(first, rho_a, rho_b, rng.uniform(size=n))
+    for block in _blocks(samples, d):
+        rho_a, rho_b = (random_rank_mixed_stack(d, len(block), rng) for _ in range(2))
+        violations += _scan_block(block.start, rho_a, rho_b, rng.uniform(size=len(block)))
     return violations
 
 

@@ -36,6 +36,14 @@ def _check_int(value, name: str) -> int:
     return int(value)
 
 
+def _check_count(value, name: str) -> int:
+    """``value`` as a nonnegative int, checked as by :func:`_check_int`."""
+    value = _check_int(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
 def check_dim(d: int) -> int:
     """Validate a Hilbert-space dimension against the dense cap."""
     d = _check_int(d, "dimension")
@@ -228,7 +236,7 @@ def random_pure_vectors(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     n sequential draws.
     """
     d = check_dim(d)
-    x = rng.standard_normal((_check_int(n, "n"), 2, d))
+    x = rng.standard_normal((_check_count(n, "n"), 2, d))
     v = x[:, 0] + 1j * x[:, 1]
     return v / _hs_norms(v)[:, None]
 
@@ -272,7 +280,7 @@ def random_rank_mixed_stack(d: int, n: int, rng: np.random.Generator) -> np.ndar
     All n ranks come from one ``rng.integers`` draw, then the states from
     :func:`random_mixed_stack`.
     """
-    return random_mixed_stack(d, rng.integers(1, check_dim(d) + 1, size=_check_int(n, "n")), rng)
+    return random_mixed_stack(d, rng.integers(1, check_dim(d) + 1, size=_check_count(n, "n")), rng)
 
 
 def _ginibre_stack(d: int, ranks: np.ndarray, normals: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ reproducible regardless of which other suites ran.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -30,9 +30,12 @@ from .complexity import (
     _COMPLEMENTARITY_TOL,
     _PATH_GAP_TOL,
     RhoPFamily,
+    _blocks,
     _definition_tables,
     _qubit_closed_forms,
     _reports,
+    _rho_p_closed_form,
+    _rho_p_stack,
     batch_complexity,
     complexity_by_moments,
     complexity_upper_bound,
@@ -40,10 +43,8 @@ from .complexity import (
     convexity_scan,
     near_pure_curvature_offset,
     pure_complexity_floor,
-    rho_p_complexity_analytic,
     rho_p_second_derivative,
     rho_p_expansion_residual,
-    rho_p_state,
 )
 from .matcore import (
     DensityState,
@@ -99,9 +100,9 @@ def _leq(check_id: str, observed: float, tol: float, note: str = "") -> CheckRes
     return CheckResult(check_id, float(observed), float(tol), bool(observed <= tol), note)
 
 
-def _sample_block(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Deterministic mix of pure, rank-2 and full-rank states, drawn as one block."""
-    return random_mixed_stack(d, [(1, min(2, d), d)[i % 3] for i in range(n)], rng)
+def _sample_block(d: int, members: range, rng: np.random.Generator) -> np.ndarray:
+    """Deterministic mix of pure, rank-2 and full-rank states by member index, in one draw."""
+    return random_mixed_stack(d, [(1, min(2, d), d)[i % 3] for i in members], rng)
 
 
 # -- suites -------------------------------------------------------------------
@@ -177,7 +178,7 @@ def suite_charfun(dims=None, samples=None, seed=0) -> list[CheckResult]:
         results.append(_leq(f"charfun-parseval-d{d}", worst_parseval, 1e-9))
 
         # Unchecked tables: the checked kernel would raise before a defect could FAIL the row.
-        roots = _checked_sqrt_stack(_sample_block(d, n, rng))
+        roots = _checked_sqrt_stack(_sample_block(d, range(n), rng))
         totals = _power_sums(weyl_coefficient_table(roots), 2)
         results.append(_leq(f"charfun-sqrt-table-normalization-d{d}",
                             np.abs(totals - d).max(), _SQRT_NORM_TOL))
@@ -202,12 +203,13 @@ def suite_tradeoff(dims=None, samples=None, seed=0) -> list[CheckResult]:
     rng = _rng_for(seed, 3)
     results = []
     for d in dims:
-        # Every member goes through the report and its checks.
-        block = _sample_block(d, n, rng)
-        reports = _reports(block, _checked_sqrt_stack(block))
-        jordan = np.array([r.jordan_table for r in reports])
-        lie = np.array([r.lie_table for r in reports])
-        results.append(_leq(f"tradeoff-sum-defect-d{d}", np.abs(jordan + lie - 2.0).max(), 1e-10))
+        # Every member goes through the report and its checks, one block at a time.
+        worst = 0.0
+        for members in _blocks(n, d):
+            rhos = _sample_block(d, members, rng)
+            sums = [r.jordan_table + r.lie_table for r in _reports(rhos, _checked_sqrt_stack(rhos))]
+            worst = max(worst, np.abs(np.array(sums) - 2.0).max())
+        results.append(_leq(f"tradeoff-sum-defect-d{d}", worst, 1e-10))
     return results
 
 
@@ -217,10 +219,13 @@ def suite_dual_path(dims=None, samples=None, seed=0) -> list[CheckResult]:
     rng = _rng_for(seed, 4)
     results = []
     for d in dims:
-        roots = _checked_sqrt_stack(_sample_block(d, n, rng))
-        jordan, lie = _definition_tables(roots)
-        gap = np.abs(np.sum(jordan * lie, axis=(1, 2)) - _moment_complexities(roots))
-        results.append(_leq(f"dual-path-gap-d{d}", gap.max(), _PATH_GAP_TOL * d * d))
+        gap = 0.0
+        for members in _blocks(n, d):
+            roots = _checked_sqrt_stack(_sample_block(d, members, rng))
+            jordan, lie = _definition_tables(roots)
+            gaps = np.abs(np.sum(jordan * lie, axis=(1, 2)) - _moment_complexities(roots))
+            gap = max(gap, gaps.max())
+        results.append(_leq(f"dual-path-gap-d{d}", gap, _PATH_GAP_TOL * d * d))
     return results
 
 
@@ -254,7 +259,7 @@ def suite_clifford(dims=None, samples=None, seed=0) -> list[CheckResult]:
         table = clifford_conjugation_table(f)
         results.append(CheckResult(f"clifford-fourier-table-d{d}", 1.0 if table else 0.0,
                                    None, table is not None, "1 = conjugation table exists"))
-        rhos = _sample_block(d, n, rng)
+        rhos = _sample_block(d, range(n), rng)
         rhos = np.concatenate([f @ rhos @ f.conj().T, rhos])  # rotated block, then the block
         c = _moment_complexities(_checked_sqrt_stack(rhos))
         results.append(_leq(f"clifford-invariance-gap-d{d}", np.abs(c[:n] - c[n:]).max(), 1e-9))
@@ -315,10 +320,9 @@ def suite_rho_p(dims=None, seed=0) -> list[CheckResult]:
         psi = DensityState.pure(np.eye(d, dtype=complex)[:, 0])
         fam = RhoPFamily(psi, 0.5)
         c_psi = complexity_by_moments(psi)
-        members = [replace(fam, p=float(p)) for p in np.linspace(0.0, 1.0, 21)]
-        generic = _moment_complexities(_checked_sqrt_stack(
-            np.stack([rho_p_state(member).rho for member in members])))
-        analytic = [rho_p_complexity_analytic(member, c_psi) for member in members]
+        grid = np.linspace(0.0, 1.0, 21)
+        generic = _moment_complexities(_checked_sqrt_stack(_rho_p_stack(psi, grid)))
+        analytic = [_rho_p_closed_form(d, p, c_psi) for p in grid.tolist()]
         results.append(_leq(f"mixing-family-closed-form-gap-d{d}",
                             np.abs(analytic - generic).max(), 1e-9))
 

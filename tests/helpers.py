@@ -5,9 +5,21 @@ explicit traces) so it cannot share failure modes with the structured
 implementations under test.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from stabc.matcore import SQRT_RANK_RCOND, DensityState
+
+
+def traced_peak_mib(call):
+    """(call(), the peak of the memory traced while it ran, in MiB)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def naive_weyl_matrix(d: int, k: int, l: int) -> np.ndarray:

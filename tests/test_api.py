@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 
 import stabc
-from stabc import DensityState, charfun, complexity, matcore, states, verify, weyl
+from stabc import DensityState, charfun, cli, complexity, matcore, states, verify, weyl
 
 PRUNED = (
     "WeylOperator", "hermitian_eig", "hs_inner", "is_clifford", "omega", "weyl_op", "weyl_stack",
@@ -45,6 +45,8 @@ def test_second_implementations_are_gone():
     # One rank-r Ginibre sampler and one pure-state rule.
     assert not hasattr(matcore, "_ginibre_density_batch")
     assert not hasattr(matcore, "EIG_HERMITIAN_TOL")
+    # One trace bound: a state table's c(0,0) is the state's trace.
+    assert not hasattr(charfun, "_STATE_TRACE_TOL")
     assert not hasattr(complexity, "_PURITY_THRESHOLD")
     # The report's trade-off check compared (1 + x) + (1 - x) with 2.
     assert not hasattr(complexity, "_TRADEOFF_TOL")
@@ -75,10 +77,18 @@ def test_ginibre_layout_is_private_to_matcore():
     # The scan draws through random_mixed_stack; only _ginibre_stack lays out normals.
     for name in ("_ginibre_normals", "_ginibre_starts"):
         assert not hasattr(matcore, name)
-    for name in ("_SCAN_CHUNK", "_scan_chunk"):
+    for name in ("_SCAN_CHUNK", "_scan_chunk", "_SCAN_BLOCK"):
         assert not hasattr(complexity, name)
     assert not [name for name in vars(complexity) if name.startswith("_ginibre")]
     assert list(inspect.signature(matcore._ginibre_stack).parameters) == ["d", "ranks", "normals"]
+
+
+def test_family_members_come_from_the_one_builder():
+    # The sweep and the rho-p suite stack their members through
+    # complexity._rho_p_stack, not one rho_p_state per replaced family.
+    for module in (verify, cli):
+        for name in ("rho_p_state", "replace"):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_one_value_keywords_are_constants():

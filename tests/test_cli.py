@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stabc import verify
+from stabc import cli, verify
 from stabc.cli import build_parser, main
 from stabc.errors import StateFileError
 from stabc.stateio import load_state
@@ -157,12 +157,18 @@ SAMPLE_ARGS = ["sample", "--d", "3", "--samples", "4", "--seed", "5", "--kind"]
     ([*SAMPLE_ARGS, "mixed"], "sample_mixed_d3_n4_seed5.txt"),
     (["extremal", "--d", "3"], "extremal_d3.txt"),
     (["extremal", "--d", "13"], "extremal_d13.txt"),
+    (["sweep", "--d", "64", "--steps", "11"], "sweep_d64_steps11.txt"),
+    (["sweep", "--d", "3", "--psi", "fiducial", "--steps", "21", "--format", "json"],
+     "sweep_d3_fiducial_steps21.txt"),
+    (["verify", "dual-path", "--d", "8", "64"], "verify_dual_path_d8_d64.txt"),
 ])
 def test_output_matches_golden_file(capsys, argv, golden):
     # Written by these command lines (the verify and sweep files while the
     # convexity suite still re-evaluated its witness mixture, the sample files
     # while each state was drawn alone, the extremal files while each
-    # stabilizer state had its own report); pins the text output byte for byte.
+    # stabilizer state had its own report, the d = 64 sweep, the fiducial
+    # sweep and the dual-path file while the sweep made one report per point
+    # and dual-path drew its states as one stack); pins the text output byte for byte.
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
@@ -292,6 +298,20 @@ def test_sweep_near_pure_anchor_exits_2(tmp_path, capsys):
     assert code == 2
     assert "must be pure" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("d", [3, 64])
+def test_sweep_closed_form_gate_names_the_first_failing_point(monkeypatch, capsys, d):
+    # The gate checks every point after its block's reports: a closed form
+    # moved by 1e-6 from p = 0.5 on fails there, in the first block at d = 3
+    # and in the second of three at d = 64.
+    closed_form = cli._rho_p_closed_form
+    monkeypatch.setattr(cli, "_rho_p_closed_form",
+                        lambda d, p, c: closed_form(d, p, c) + (1e-6 if p >= 0.5 else 0.0))
+    code, out, err = run_cli(capsys, "sweep", "--d", str(d), "--steps", "11")
+    assert code == 1 and out == ""
+    assert err.startswith("check failed: closed form ")
+    assert err.endswith(" disagree at p=0.5\n")
 
 
 def test_sweep_rejects_bad_family(capsys):

@@ -1,11 +1,10 @@
 import re
-import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from helpers import naive_jordan_lie, naive_weyl_matrix, naive_weyl_stack
+from helpers import naive_jordan_lie, naive_weyl_matrix, naive_weyl_stack, traced_peak_mib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +43,7 @@ from stabc import (
     weyl_matrix,
 )
 from stabc import complexity
-from stabc.complexity import _SCAN_BLOCK, _definition_tables, _moment_complexities, _reports
+from stabc.complexity import _blocks, _definition_tables, _moment_complexities, _reports
 from stabc.matcore import (
     _batch_psd_sqrt,
     _checked_sqrt_stack,
@@ -185,13 +184,7 @@ def test_definition_tables_allocate_no_large_temporaries():
     # 128 KiB mmap threshold and faults in fresh pages on every call.
     roots = psd_sqrt(random_mixed(64, 64, 7))[None]
     _definition_tables(roots)  # caches the Fourier matrix
-    tracemalloc.start()
-    try:
-        _definition_tables(roots)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 640 * 2**10
+    assert traced_peak_mib(lambda: _definition_tables(roots))[1] < 640 / 2**10
 
 
 def test_definition_cross_check_trips_on_non_hermitian_root():
@@ -406,6 +399,17 @@ def test_rho_p_state_endpoints_and_midpoint():
         RhoPFamily(DensityState.maximally_mixed(2), 0.5)  # anchor must be pure
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 16, 64])
+def test_rho_p_stack_rows_are_bitwise_the_one_state_formula(d):
+    psi = random_pure(d, d)
+    grid = np.linspace(0.0, 1.0, 11)
+    stack = complexity._rho_p_stack(psi, grid)
+    assert stack.shape == (11, d, d)
+    for p, rho in zip(grid.tolist(), stack):
+        assert np.array_equal(rho, p * psi.rho + (1.0 - p) * np.eye(d) / d)
+        assert np.array_equal(rho, rho_p_state(RhoPFamily(psi, p)).rho)
+
+
 def test_rho_p_family_refuses_near_pure_anchor():
     # Purity 0.999999994, but the root has rank two, so the closed form,
     # which assumes a rank-one root, would miss the generic value by ~4e-9.
@@ -559,6 +563,16 @@ def test_convexity_scan_accepts_numpy_integers():
     assert convexity_scan(2, np.int64(3), 7) == convexity_scan(2, 3, 7) == []
 
 
+@pytest.mark.parametrize("d, size", [(2, 4096), (3, 1820), (16, 64), (64, 4)])
+def test_blocks_cut_the_range_in_order(d, size):
+    # 2**14 matrix entries per block, at least one member.
+    for n in (0, 1, size - 1, size, size + 1, 3 * size - 1):
+        blocks = _blocks(n, d)
+        assert [i for block in blocks for i in block] == list(range(n))
+        assert [len(block) for block in blocks[:-1]] == [size] * (len(blocks) - 1)
+        assert all(0 < len(block) <= size for block in blocks)
+
+
 def _one_state_at_a_time_scan(d, samples, seed):
     # The documented stream drawn one state at a time: per block the ranks and
     # states of rho_1, then those of rho_2, then lambda; every C by the
@@ -572,19 +586,18 @@ def _one_state_at_a_time_scan(d, samples, seed):
 
     rho_a, rho_b, lam = convexity_witness_states(d)
     rows = [row(-1, lam, rho_a, rho_b)]
-    for first in range(0, samples, _SCAN_BLOCK):
-        n = min(_SCAN_BLOCK, samples - first)
-        states = [[random_mixed(d, r, rng) for r in rng.integers(1, d + 1, size=n)]
+    for block in _blocks(samples, d):
+        states = [[random_mixed(d, r, rng) for r in rng.integers(1, d + 1, size=len(block))]
                   for _ in range(2)]
-        lam = rng.uniform(size=n)
-        rows += [row(first + i, lam[i], states[0][i], states[1][i]) for i in range(n)]
+        lam = rng.uniform(size=len(block))
+        rows += [row(i, lam[j], states[0][j], states[1][j]) for j, i in enumerate(block)]
     return rows
 
 
-@pytest.mark.parametrize("d,samples", [(2, _SCAN_BLOCK + 5), (3, 300), (5, 100)])
+@pytest.mark.parametrize("d,samples", [(2, 4096 + 5), (3, 1820 + 5), (3, 300), (5, 100)])
 def test_convexity_scan_matches_one_state_at_a_time(monkeypatch, d, samples):
     # With the tolerance at -inf every sample is recorded, so the stream, the
-    # sample order and every value are compared, across a block edge at d = 2.
+    # sample order and every value are compared, across a block edge at d = 2 and 3.
     # The stacked and scalar reductions round differently, hence 1e-12 d^2.
     monkeypatch.setattr(complexity, "_CONVEXITY_TOL", -np.inf)
     got = convexity_scan(d, samples, 23)
@@ -599,13 +612,7 @@ def test_convexity_scan_matches_one_state_at_a_time(monkeypatch, d, samples):
 def _scan_peak_mib(d, samples):
     seed = np.random.SeedSequence([0, 9, d])
     convexity_scan(d, 1, seed)  # builds the per-d constants
-    tracemalloc.start()
-    try:
-        convexity_scan(d, samples, seed)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / 2**20
+    return traced_peak_mib(lambda: convexity_scan(d, samples, seed))[1]
 
 
 def test_convexity_scan_memory_is_bounded():

@@ -162,6 +162,14 @@ def test_mixed_samplers_are_bitwise_sequential_draws(d):
     assert _same_stream(ref_rng, rng)
 
 
+@pytest.mark.parametrize("sampler", [random_pure_vectors, random_pure_stack, random_rank_mixed_stack])
+def test_samplers_refuse_negative_counts(sampler):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="n must be nonnegative, got -1"):
+        sampler(3, -1, rng)
+    assert len(sampler(3, np.int64(0), rng)) == 0
+
+
 def test_samplers_accept_empty_blocks_and_refuse_bad_ranks():
     rng = np.random.default_rng(0)
     assert random_pure_stack(3, 0, rng).shape == (0, 3, 3)

@@ -1,10 +1,12 @@
-"""Work-shape guards on the verify suites and ``stabc extremal``: how often
-they call the state samplers, the root kernel, the report kernel and the Weyl
-operator builder; and the dimensions every suite accepts."""
+"""Work-shape guards on the verify suites, ``stabc extremal`` and ``stabc sweep``:
+how often they call the state samplers, the root kernel, the report kernel and
+the Weyl operator builder, how much memory the blocked ones hold; and the
+dimensions every suite accepts."""
 
 import inspect
 
 import pytest
+from helpers import traced_peak_mib
 
 from stabc import charfun, cli, complexity, matcore, states, verify, weyl
 
@@ -65,6 +67,38 @@ def test_tradeoff_suite_reports_each_block_in_one_call(monkeypatch):
     rows = verify.suite_tradeoff(dims=dims, samples=40, seed=0)
     assert rows and all(r.passed for r in rows), rows
     assert tables[0] == len(dims) and reports[0] == 0
+
+
+@pytest.mark.parametrize("suite", [verify.suite_tradeoff, verify.suite_dual_path])
+def test_report_suites_hold_one_block_at_a_time(suite):
+    # At d = 64 a block holds 4 states (2.8 MiB traced); the whole 40-state
+    # stack and its tables peaked at 25 MiB (tradeoff) and 22.5 MiB (dual-path).
+    suite(dims=[64], samples=1, seed=0)  # builds the per-d constants
+    rows, peak = traced_peak_mib(lambda: suite(dims=[64], samples=40, seed=0))
+    assert rows and all(r.passed for r in rows), rows
+    assert peak < 6
+
+
+@pytest.mark.parametrize("d, blocks", [(3, 1), (16, 2), (64, 26)])
+def test_sweep_reports_each_block_in_one_call(monkeypatch, capsys, d, blocks):
+    # 101 grid points: one report for the anchor, then one _reports call per
+    # block of 1,820, 64 or 4 members, not one report per point.
+    anchors, reports = [0], [0]
+    _count_calls(monkeypatch, [complexity, cli], "complexity_report", anchors)
+    _count_calls(monkeypatch, [cli], "_reports", reports)
+    assert cli.main(["sweep", "--d", str(d), "--steps", "101"]) == 0
+    capsys.readouterr()
+    assert anchors[0] == 1 and reports[0] == blocks
+
+
+def test_sweep_holds_one_block_at_a_time(capsys):
+    # 3.0 MiB traced at d = 64, one block of 4 members; the whole 101-member
+    # grid as one stack held 63 MiB.  The per-point loop before the block rule
+    # held 0.9 MiB, so this bound guards the rule, it does not pin a saving.
+    assert cli.main(["sweep", "--d", "64", "--steps", "2"]) == 0  # builds the per-d constants
+    code, peak = traced_peak_mib(lambda: cli.main(["sweep", "--d", "64", "--steps", "101"]))
+    capsys.readouterr()
+    assert code == 0 and peak < 6
 
 
 @pytest.mark.parametrize("suite, most", [("stabilizers", 2), ("fiducials", 1), ("rho-p", 4)])

@@ -1,8 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
-from helpers import naive_weyl_matrix
+from helpers import naive_weyl_matrix, traced_peak_mib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -197,14 +195,9 @@ def test_weyl_suite_holds_no_operator_stack():
     # The d = 64 suite once held all d^2 operators (268 MB) and their
     # 4096 x 4096 Gram matrix, with a traced peak above 900 MiB; one shift's
     # operators (4 MiB) are the largest array it holds now.
-    tracemalloc.start()
-    try:
-        rows = verify.suite_weyl(dims=[64], seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rows, peak = traced_peak_mib(lambda: verify.suite_weyl(dims=[64], seed=0))
     assert all(r.passed for r in rows)
-    assert peak < 8 * 2**20
+    assert peak < 8
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
