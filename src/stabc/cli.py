@@ -25,6 +25,7 @@ from .charfun import (
     SOURCE_STATE, _checked_tables, _lp_moments, char_table, lp_moment, sqrt_char_table,
 )
 from .complexity import (
+    _RHO_P_CLOSED_FORM_TOL,
     RhoPFamily,
     _blocks,
     _reports,
@@ -38,6 +39,7 @@ from .errors import NoKnownFiducialError, StateFileError
 from .matcore import (
     DensityState,
     _checked_sqrt_stack,
+    check_dim,
     random_mixed_stack,
     random_pure_vectors,
     random_rank_mixed_stack,
@@ -48,13 +50,16 @@ from .verify import SUITES, run_suites
 
 
 def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("STABC_SEED") or "0"
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"STABC_SEED must be an integer, got {env!r}") from None
+    name, seed = "seed", args.seed
+    if seed is None:
+        name, env = "STABC_SEED", os.environ.get("STABC_SEED") or "0"
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"STABC_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ValueError(f"{name} must be nonnegative, got {seed}")
+    return seed
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -122,7 +127,7 @@ def _sweep_anchor(d: int, source: str) -> DensityState:
 def cmd_sweep(args) -> int:
     if args.steps < 2:
         raise ValueError(f"--steps must be at least 2, got {args.steps}")
-    d = args.d
+    d = check_dim(args.d)
     psi = _sweep_anchor(d, args.psi)
     if psi.dim != d:
         raise StateFileError(f"anchor state has dim {psi.dim}, sweep requested d={d}")
@@ -138,7 +143,7 @@ def cmd_sweep(args) -> int:
         m4 = _lp_moments(_checked_tables(rhos, SOURCE_STATE), 4.0)
         for p, rep, m4_p in zip(grid[block].tolist(), reports, m4.tolist()):
             c_closed = _rho_p_closed_form(d, p, c_psi)
-            if abs(c_closed - rep.c_value) > 1e-9:
+            if abs(c_closed - rep.c_value) > _RHO_P_CLOSED_FORM_TOL:
                 raise ArithmeticError(
                     f"closed form {c_closed} and generic value {rep.c_value} disagree at p={p}"
                 )

@@ -51,6 +51,8 @@ _CROSS_CHECK_TOL = 1e-10
 _PATH_GAP_TOL = 1e-9
 _BOUND_SLACK = 1e-9
 _COMPLEMENTARITY_TOL = 1e-8
+# Closed-form C(rho_p) against the generic value, at every member of the family.
+_RHO_P_CLOSED_FORM_TOL = 1e-9
 
 
 def complexity_upper_bound(d: int) -> float:

@@ -29,6 +29,7 @@ from .complexity import (
     _BOUND_SLACK,
     _COMPLEMENTARITY_TOL,
     _PATH_GAP_TOL,
+    _RHO_P_CLOSED_FORM_TOL,
     RhoPFamily,
     _blocks,
     _definition_tables,
@@ -105,6 +106,11 @@ def _sample_block(d: int, members: range, rng: np.random.Generator) -> np.ndarra
     return random_mixed_stack(d, [(1, min(2, d), d)[i % 3] for i in members], rng)
 
 
+def _per_member(n: int, d: int, evaluate) -> np.ndarray:
+    """One value per member of range(n): ``evaluate(members)`` on each block of :func:`_blocks`."""
+    return np.concatenate([evaluate(members) for members in _blocks(n, d)])
+
+
 # -- suites -------------------------------------------------------------------
 
 
@@ -178,8 +184,8 @@ def suite_charfun(dims=None, samples=None, seed=0) -> list[CheckResult]:
         results.append(_leq(f"charfun-parseval-d{d}", worst_parseval, 1e-9))
 
         # Unchecked tables: the checked kernel would raise before a defect could FAIL the row.
-        roots = _checked_sqrt_stack(_sample_block(d, range(n), rng))
-        totals = _power_sums(weyl_coefficient_table(roots), 2)
+        totals = _per_member(n, d, lambda members: _power_sums(weyl_coefficient_table(
+            _checked_sqrt_stack(_sample_block(d, members, rng))), 2))
         results.append(_leq(f"charfun-sqrt-table-normalization-d{d}",
                             np.abs(totals - d).max(), _SQRT_NORM_TOL))
 
@@ -190,8 +196,8 @@ def suite_charfun(dims=None, samples=None, seed=0) -> list[CheckResult]:
 
         lo = (1 + (d - 1) / (d + 1)) ** 0.25
         hi = d**0.25
-        pure = random_pure_stack(d, 500 if samples is None else n, rng)
-        m4 = _lp_moments(_checked_tables(pure, SOURCE_STATE), 4.0)
+        m4 = _per_member(500 if samples is None else n, d, lambda members: _lp_moments(
+            _checked_tables(random_pure_stack(d, len(members), rng), SOURCE_STATE), 4.0))
         results.append(_leq(f"charfun-pure-moment4-bracket-d{d}",
                             max(0.0, (lo - m4).max(), (m4 - hi).max()), 1e-9))
     return results
@@ -203,13 +209,12 @@ def suite_tradeoff(dims=None, samples=None, seed=0) -> list[CheckResult]:
     rng = _rng_for(seed, 3)
     results = []
     for d in dims:
-        # Every member goes through the report and its checks, one block at a time.
-        worst = 0.0
-        for members in _blocks(n, d):
+        # Every member goes through the report and its checks.
+        def defects(members):
             rhos = _sample_block(d, members, rng)
-            sums = [r.jordan_table + r.lie_table for r in _reports(rhos, _checked_sqrt_stack(rhos))]
-            worst = max(worst, np.abs(np.array(sums) - 2.0).max())
-        results.append(_leq(f"tradeoff-sum-defect-d{d}", worst, 1e-10))
+            return np.array([np.abs(r.jordan_table + r.lie_table - 2.0).max()
+                             for r in _reports(rhos, _checked_sqrt_stack(rhos))])
+        results.append(_leq(f"tradeoff-sum-defect-d{d}", _per_member(n, d, defects).max(), 1e-10))
     return results
 
 
@@ -219,13 +224,12 @@ def suite_dual_path(dims=None, samples=None, seed=0) -> list[CheckResult]:
     rng = _rng_for(seed, 4)
     results = []
     for d in dims:
-        gap = 0.0
-        for members in _blocks(n, d):
+        def gaps(members):
             roots = _checked_sqrt_stack(_sample_block(d, members, rng))
             jordan, lie = _definition_tables(roots)
-            gaps = np.abs(np.sum(jordan * lie, axis=(1, 2)) - _moment_complexities(roots))
-            gap = max(gap, gaps.max())
-        results.append(_leq(f"dual-path-gap-d{d}", gap, _PATH_GAP_TOL * d * d))
+            return np.abs(np.sum(jordan * lie, axis=(1, 2)) - _moment_complexities(roots))
+        results.append(_leq(f"dual-path-gap-d{d}", _per_member(n, d, gaps).max(),
+                            _PATH_GAP_TOL * d * d))
     return results
 
 
@@ -235,8 +239,9 @@ def suite_bounds(dims=None, samples=None, seed=0) -> list[CheckResult]:
     rng = _rng_for(seed, 5)
     results = []
     for d in dims:
-        c_pure = batch_complexity(random_pure_stack(d, n, rng))
-        c_mixed = batch_complexity(random_rank_mixed_stack(d, n, rng))
+        # The pure ensemble, then the mixed one, each drawn and evaluated block by block.
+        c_pure, c_mixed = (_per_member(n, d, lambda m: batch_complexity(sampler(d, len(m), rng)))
+                           for sampler in (random_pure_stack, random_rank_mixed_stack))
         floor, ceil = pure_complexity_floor(d), complexity_upper_bound(d)
         defects = {"pure-floor": floor - c_pure, "pure-ceiling": c_pure - ceil,
                    "mixed-floor": -c_mixed, "mixed-ceiling": c_mixed - ceil}
@@ -259,10 +264,14 @@ def suite_clifford(dims=None, samples=None, seed=0) -> list[CheckResult]:
         table = clifford_conjugation_table(f)
         results.append(CheckResult(f"clifford-fourier-table-d{d}", 1.0 if table else 0.0,
                                    None, table is not None, "1 = conjugation table exists"))
-        rhos = _sample_block(d, range(n), rng)
-        rhos = np.concatenate([f @ rhos @ f.conj().T, rhos])  # rotated block, then the block
-        c = _moment_complexities(_checked_sqrt_stack(rhos))
-        results.append(_leq(f"clifford-invariance-gap-d{d}", np.abs(c[:n] - c[n:]).max(), 1e-9))
+
+        def invariance_gaps(members):
+            rhos = _sample_block(d, members, rng)
+            rhos = np.concatenate([f @ rhos @ f.conj().T, rhos])  # rotated block, then the block
+            c = _moment_complexities(_checked_sqrt_stack(rhos))
+            return np.abs(c[:len(members)] - c[len(members):])
+        results.append(_leq(f"clifford-invariance-gap-d{d}",
+                            _per_member(n, d, invariance_gaps).max(), 1e-9))
 
         u = haar_unitary(d, rng)
         haar_table = clifford_conjugation_table(u)
@@ -289,11 +298,12 @@ def suite_complementarity(dims=None, samples=None, seed=0) -> list[CheckResult]:
     rng = _rng_for(seed, 7)
     results = []
     for d in dims:
-        rhos = random_pure_stack(d, n, rng)
-        m4_fourth = _power_sums(_checked_tables(rhos, SOURCE_STATE), 4)
-        c = batch_complexity(rhos)
-        worst = float(np.abs(m4_fourth + c - d * d).max())
-        results.append(_leq(f"complementarity-pure-sum-defect-d{d}", worst, _COMPLEMENTARITY_TOL))
+        def sum_defects(members):
+            rhos = random_pure_stack(d, len(members), rng)
+            m4_fourth = _power_sums(_checked_tables(rhos, SOURCE_STATE), 4)
+            return np.abs(m4_fourth + batch_complexity(rhos) - d * d)
+        results.append(_leq(f"complementarity-pure-sum-defect-d{d}",
+                            _per_member(n, d, sum_defects).max(), _COMPLEMENTARITY_TOL))
     return results
 
 
@@ -302,14 +312,17 @@ def suite_qubit(dims=None, samples=None, seed=0) -> list[CheckResult]:
         raise ValueError(f"the qubit suite covers d = 2 only, got dimensions {list(dims)}")
     n = samples or 1000
     rng = _rng_for(seed, 8)
-    bloch = np.empty((n, 3))
-    for i in range(n):
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        radius = 1.0 if i % 2 == 0 else float(rng.uniform() ** (1 / 3))
-        bloch[i] = radius * direction
-    c = _moment_complexities(_checked_sqrt_stack(_bloch_matrices(bloch)))
-    return [_leq("qubit-closed-form-gap", np.abs(c - _qubit_closed_forms(bloch)).max(), 1e-9)]
+
+    def gaps(members):
+        bloch = np.empty((len(members), 3))
+        for row, i in enumerate(members):
+            direction = rng.standard_normal(3)
+            direction /= np.linalg.norm(direction)
+            radius = 1.0 if i % 2 == 0 else float(rng.uniform() ** (1 / 3))
+            bloch[row] = radius * direction
+        c = _moment_complexities(_checked_sqrt_stack(_bloch_matrices(bloch)))
+        return np.abs(c - _qubit_closed_forms(bloch))
+    return [_leq("qubit-closed-form-gap", _per_member(n, 2, gaps).max(), 1e-9)]
 
 
 def suite_rho_p(dims=None, seed=0) -> list[CheckResult]:
@@ -324,7 +337,7 @@ def suite_rho_p(dims=None, seed=0) -> list[CheckResult]:
         generic = _moment_complexities(_checked_sqrt_stack(_rho_p_stack(psi, grid)))
         analytic = [_rho_p_closed_form(d, p, c_psi) for p in grid.tolist()]
         results.append(_leq(f"mixing-family-closed-form-gap-d{d}",
-                            np.abs(analytic - generic).max(), 1e-9))
+                            np.abs(analytic - generic).max(), _RHO_P_CLOSED_FORM_TOL))
 
         curv = rho_p_second_derivative(fam, 0.0, 1e-4)
         target = d * d * (d - 1)
@@ -401,8 +414,8 @@ def suite_stabilizers(dims=None, samples=None, seed=0) -> list[CheckResult]:
         results.append(_leq(f"stabilizer-floor-attainment-d{d}", np.abs(c - floor).max(),
                             _EXTREMAL_TOL))
 
-        n = samples or 300
-        c = batch_complexity(random_pure_stack(d, n, rng))
+        c = _per_member(samples or 300, d,
+                        lambda members: batch_complexity(random_pure_stack(d, len(members), rng)))
         results.append(_leq(f"stabilizer-floor-not-undercut-d{d}", float((floor - c).max()),
                             _BOUND_SLACK))
     return results

@@ -168,7 +168,9 @@ def test_output_matches_golden_file(capsys, argv, golden):
     # while each state was drawn alone, the extremal files while each
     # stabilizer state had its own report, the d = 64 sweep, the fiducial
     # sweep and the dual-path file while the sweep made one report per point
-    # and dual-path drew its states as one stack); pins the text output byte for byte.
+    # and dual-path drew its states as one stack; the verify file's two
+    # bounds-mixed d = 5 rows since bounds draws its mixed ranks per block);
+    # pins the text output byte for byte.
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
@@ -238,6 +240,25 @@ def test_malformed_seed_env_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "STABC_SEED" in err
+
+
+@pytest.mark.parametrize("env, argv, name", [
+    ("-2", ["sample"], "STABC_SEED"),
+    ("-2", ["verify", "qubit"], "STABC_SEED"),
+    ("3", ["verify", "--seed", "-1"], "seed"),
+    (None, ["sample", "--seed", "-5"], "seed"),
+])
+def test_negative_seed_exits_2_naming_its_source(capsys, monkeypatch, env, argv, name):
+    # numpy's own refusal, "expected non-negative integer", named no seed.
+    if env is None:
+        monkeypatch.delenv("STABC_SEED", raising=False)
+    else:
+        monkeypatch.setenv("STABC_SEED", env)
+    code, out, err = run_cli(capsys, *argv)
+    value = "-2" if name == "STABC_SEED" else argv[-1]
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {name} must be nonnegative, got {value}\n"
 
 
 def test_empty_seed_env_means_seed_0(capsys, monkeypatch):
@@ -312,6 +333,16 @@ def test_sweep_closed_form_gate_names_the_first_failing_point(monkeypatch, capsy
     assert code == 1 and out == ""
     assert err.startswith("check failed: closed form ")
     assert err.endswith(" disagree at p=0.5\n")
+
+
+@pytest.mark.parametrize("d", ["0", "1", "-3", "65"])
+def test_sweep_bad_dimension_exits_2(capsys, d):
+    # d = 0 used to exit 1 with an IndexError traceback and d = -3 exit 2 with
+    # numpy's "negative dimensions"; exit 1 means a failed cross-check only.
+    code, out, err = run_cli(capsys, "sweep", "--d", d, "--steps", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: dimension ")
 
 
 def test_sweep_rejects_bad_family(capsys):

@@ -69,14 +69,40 @@ def test_tradeoff_suite_reports_each_block_in_one_call(monkeypatch):
     assert tables[0] == len(dims) and reports[0] == 0
 
 
-@pytest.mark.parametrize("suite", [verify.suite_tradeoff, verify.suite_dual_path])
+@pytest.mark.parametrize("suite", [verify.suite_tradeoff, verify.suite_dual_path,
+                                   verify.suite_bounds, verify.suite_complementarity,
+                                   verify.suite_charfun, verify.suite_clifford])
 def test_report_suites_hold_one_block_at_a_time(suite):
-    # At d = 64 a block holds 4 states (2.8 MiB traced); the whole 40-state
-    # stack and its tables peaked at 25 MiB (tradeoff) and 22.5 MiB (dual-path).
+    # At d = 64 a block holds 4 states (2.8 MiB traced for tradeoff).  The whole
+    # 40-state stack and its tables peaked at 25 MiB (tradeoff), 22.5 (dual-path),
+    # 10.1 (bounds and complementarity), 11.4 (charfun) and 21.4 (clifford).
+    # charfun's fixed 20-state collapse row alone takes about 6 MiB.
     suite(dims=[64], samples=1, seed=0)  # builds the per-d constants
     rows, peak = traced_peak_mib(lambda: suite(dims=[64], samples=40, seed=0))
     assert rows and all(r.passed for r in rows), rows
-    assert peak < 6
+    assert peak < (8 if suite is verify.suite_charfun else 6)
+
+
+@pytest.mark.parametrize("suite", ["charfun", "tradeoff", "dual-path", "clifford",
+                                   "complementarity", "qubit", "stabilizers", "bounds"])
+def test_sampled_rows_do_not_depend_on_block_size(monkeypatch, suite):
+    # 64 entries cut 40 samples into blocks of 16 members at d = 2 and of 2 at
+    # d = 5, where the default rule makes one block.  The bounds suite's mixed
+    # ensemble draws its ranks per block, and the next dimension's draws follow
+    # them, so bounds runs one dimension at a time without its mixed rows.
+    dims = [(2,)] if suite == "qubit" else [(2,), (3,), (5,)] if suite == "bounds" else [(2, 3, 5)]
+
+    def observed():
+        rows = [r for ds in dims
+                for _, suite_rows in verify.run_suites([suite], dims=ds, samples=40, seed=3)
+                for r in suite_rows]
+        return {r.check_id: r.observed.hex() for r in rows
+                if not r.check_id.startswith("bounds-mixed")}
+
+    default = observed()
+    monkeypatch.setattr(complexity, "_BLOCK_ENTRIES", 64)
+    assert len(verify._blocks(40, 5)) == 20
+    assert observed() == default
 
 
 @pytest.mark.parametrize("d, blocks", [(3, 1), (16, 2), (64, 26)])
