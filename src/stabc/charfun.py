@@ -56,19 +56,22 @@ class CharTable:
         return self.values.shape[0]
 
 
-def _check_invariant(tables: np.ndarray, source: str) -> None:
+def _check_invariant(
+    tables: np.ndarray, source: str, square_sums: np.ndarray | None = None
+) -> None:
     """Check every member of a stack of tables (n, d, d) against its source's invariant.
 
     ``state`` tables need c(0, 0) = 1 and ``sqrt_state`` tables
     sum |c|^2 = d; a failure (NaN included) raises ValueError naming the
     first failing member's value.  :class:`CharTable` checks the one-row case.
+    ``square_sums`` are the tables' sum |c|^2 if the caller already has them.
     """
     if source == SOURCE_STATE:
         # c(0,0) = tr(D(0,0) A) = tr A: the state's own trace bound.
         what, values, target, tol = "state table has c(0,0)", tables[:, 0, 0], 1, TRACE_TOL
     elif source == SOURCE_SQRT_STATE:
         what, target, tol = "square-root table has sum |c|^2", tables.shape[-1], _SQRT_NORM_TOL
-        values = _power_sums(tables, 2)
+        values = _power_sums(tables, 2) if square_sums is None else square_sums
     else:
         return
     defects = np.abs(values - target)
@@ -92,10 +95,14 @@ def _moment_complexities(roots: np.ndarray) -> np.ndarray:
     """d^2 - sum |c(k,l)(S)|^4 for each root S of a stack (n, d, d): the one moment-route kernel.
 
     Every C reduces here.  Each table is checked as a ``sqrt_state`` table
-    (sum |c|^2 = d), so a member whose trace is not 1 raises ValueError.
+    (sum |c|^2 = d), so a member whose trace is not 1 raises ValueError.  The
+    check's sums and the moments come from one |c| pass.
     """
     d = roots.shape[-1]
-    return d * d - _power_sums(_checked_tables(roots, SOURCE_SQRT_STATE), 4)
+    tables = weyl_coefficient_table(roots)
+    squares, fourths = _power_sums(tables, 2, 4)
+    _check_invariant(tables, SOURCE_SQRT_STATE, squares)
+    return d * d - fourths
 
 
 def char_table(a: np.ndarray | DensityState) -> CharTable:

@@ -5,7 +5,8 @@ check suites), ``sweep`` (rho_p family sweep to CSV/JSON), ``extremal``
 (extremal-state summary for one dimension), ``sample`` (dump random states).
 
 Exit codes: 0 success, 1 at least one verification check failed, 2 input
-parsing or state validation failed, or an option would be ignored.  Only
+parsing or state validation failed, an option would be ignored, or the
+input is too large to serve (a MemoryError).  Only
 ``verify`` and ``sample`` draw random numbers and take ``--seed`` (default:
 the ``STABC_SEED`` environment variable, else 0).  Identical command lines
 with identical seeds produce byte-identical output.
@@ -180,8 +181,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_extremal(args) -> int:
     d = args.d
-    projectors = np.stack([s.rho for s in enumerate_stabilizer_states(d).states])
-    c_values = [r.c_value for r in _reports(projectors, _checked_sqrt_stack(projectors))]
+    states = enumerate_stabilizer_states(d).states
+    c_values = []
+    for block in _blocks(len(states), d):
+        projectors = np.stack([states[i].rho for i in block])
+        c_values += [r.c_value for r in _reports(projectors, _checked_sqrt_stack(projectors))]
     doc: dict = {
         "dim": d,
         "stabilizer_count": len(c_values),
@@ -294,6 +298,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (StateFileError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:
+        # numpy's allocation failure names the size; a bare MemoryError names nothing
+        sys.stderr.write(f"error: input too large to serve: {exc or 'out of memory'}\n")
         return 2
     except ArithmeticError as exc:
         # an internal cross-check (dual-route agreement, bounds, ...) failed

@@ -24,6 +24,7 @@ states confined to [d^2 - d, d^2 - 2d/(d+1)].
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -378,26 +379,39 @@ def rho_p_expansion_residual(family: RhoPFamily, epsilon: float) -> float:
 def batch_complexity(rhos: np.ndarray) -> np.ndarray:
     """Moment-route complexity of a stack of density matrices, vectorized.
 
-    Bitwise complexity_by_moments along the first axis: one stacked square
+    Bitwise complexity_by_moments along the first axis: a stacked square
     root (closed form at d = 2, one stacked eigensolve otherwise) through
     :func:`_moment_complexities`, whose table check refuses a member of
     trace other than 1 with ValueError.  The roots skip the S^2 = rho check,
     which would add about a fifth to the call.
     Every member must be Hermitian and finite: the square root reads only
     the lower triangle, so anything else raises NotHermitianError instead of
-    giving a finite, wrong value.  An empty stack gives an empty result.
+    giving a finite, wrong value.  That check covers the whole stack before
+    any root is taken.  The roots, the table check and the moments then run
+    one block of :func:`_blocks` at a time, in order, so the first block
+    with a fault raises: a trace fault in an earlier block raises ValueError
+    even if a later block holds a negative eigenvalue.  An empty stack gives
+    an empty result.
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {rhos.shape}")
-    d = check_dim(rhos.shape[1])
-    # NaN or inf makes the defect NaN, which fails the test as well.
-    defect = float(np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max(initial=0.0))
+    n, d = rhos.shape[0], check_dim(rhos.shape[1])
+    blocks = [slice(block.start, block.stop) for block in _blocks(n, d)]
+    # NaN or inf makes the defect NaN, which fails the test as well (np.max
+    # keeps a NaN, where Python's max could drop it).
+    defect = float(np.max(
+        [np.abs(rhos[b] - np.conj(np.swapaxes(rhos[b], 1, 2))).max() for b in blocks],
+        initial=0.0,
+    ))
     if not defect <= HERMITIAN_TOL * d:
         raise NotHermitianError(
             f"stack symmetry defect {defect:.3e} exceeds {HERMITIAN_TOL * d:.3e} (or is not finite)"
         )
-    return _moment_complexities(_batch_psd_sqrt(rhos))
+    out = np.empty(n)
+    for b in blocks:
+        out[b] = _moment_complexities(_batch_psd_sqrt(rhos[b]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -431,10 +445,14 @@ def convexity_witness_states(d: int) -> tuple[DensityState, DensityState, float]
     return mixed, pure, 0.5
 
 
-def _blocks(n: int, d: int) -> list[range]:
-    """The one block rule: range(n) cut into blocks of max(1, _BLOCK_ENTRIES // d^2) members."""
+def _blocks(n: int, d: int) -> Iterator[range]:
+    """The one block rule: range(n) cut into blocks of max(1, _BLOCK_ENTRIES // d^2) members.
+
+    The blocks are made as they are taken, so a huge n costs nothing up
+    front; a caller that goes over them twice calls this twice.
+    """
     size = max(1, _BLOCK_ENTRIES // (d * d))
-    return [range(first, min(first + size, n)) for first in range(0, n, size)]
+    return (range(first, min(first + size, n)) for first in range(0, n, size))
 
 
 def convexity_scan(d: int, samples: int, seed) -> list[ConvexityViolation]:

@@ -150,12 +150,16 @@ class DensityState:
         return f"DensityState(dim={self.dim}, purity={self.purity():.6f})"
 
 
-def _power_sums(stack: np.ndarray, p: float) -> np.ndarray:
+def _power_sums(stack: np.ndarray, p: float, *more: float):
     """sum |x|^p of each matrix of a stack (..., d, d): the one power-sum reduction.
 
     Over characteristic tables it gives the moments; at p = 2 over states, the purity.
+    Further exponents share the one |x| pass: the sums then come back as a
+    tuple, one array per exponent in order, each bitwise its own call.
     """
-    return (np.abs(stack) ** p).sum(axis=(-2, -1))
+    magnitudes = np.abs(stack)
+    sums = tuple((magnitudes**q).sum(axis=(-2, -1)) for q in (p, *more))
+    return sums if more else sums[0]
 
 
 def _pure_members(rhos: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,6 +287,9 @@ def random_rank_mixed_stack(d: int, n: int, rng: np.random.Generator) -> np.ndar
     return random_mixed_stack(d, rng.integers(1, check_dim(d) + 1, size=_check_count(n, "n")), rng)
 
 
+_REAL_PAIR = np.ones(2)
+
+
 def _ginibre_stack(d: int, ranks: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Trace-normalized Grams of the Ginibre factors laid out back to back in ``normals``.
 
@@ -301,6 +308,14 @@ def _ginibre_stack(d: int, ranks: np.ndarray, normals: np.ndarray) -> np.ndarray
         blocks = normals[starts[members][:, None] + np.arange(2 * d * r)]
         g = blocks[:, : d * r].reshape(-1, d, r) + 1j * blocks[:, d * r :].reshape(-1, d, r)
         out[members] = g @ g.conj().swapaxes(-1, -2)
+    # One real BLAS call between the complex products and the trace.  After a
+    # batched complex matmul, numpy's reductions over short axes run 7-11x
+    # slower until some other calls run (OpenBLAS 0.3.31, x86-64): np.trace of
+    # a (4096, 2, 2) stack takes 0.9-1.5 ms against 0.12 ms, and the d = 2
+    # convexity scan ~20% longer.  Every real BLAS call tried clears it (a dot
+    # of two 2-vectors, dgemv, dgemm); einsum, a small elementwise ufunc and
+    # some stacked eigh calls do not.  Elementwise ufuncs are not slowed.
+    np.dot(_REAL_PAIR, _REAL_PAIR)
     return np.divide(out, np.trace(out, axis1=1, axis2=2).real[:, None, None], out=out)
 
 

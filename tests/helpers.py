@@ -12,6 +12,18 @@ import numpy as np
 from stabc.matcore import SQRT_RANK_RCOND, DensityState
 
 
+def count_calls(monkeypatch, modules, name, counter):
+    """Replace ``name`` in each of ``modules`` by a wrapper that adds 1 to counter[0] per call."""
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        counter[0] += 1
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+
+
 def traced_peak_mib(call):
     """(call(), the peak of the memory traced while it ran, in MiB)."""
     tracemalloc.start()

@@ -335,6 +335,23 @@ def test_sweep_closed_form_gate_names_the_first_failing_point(monkeypatch, capsy
     assert err.endswith(" disagree at p=0.5\n")
 
 
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+                "and data type float64"),
+    MemoryError(),
+])
+def test_memory_error_exits_2_on_one_line(capsys, monkeypatch, exc):
+    # sweep --steps 100000000000 allocates a 745 GiB grid; exit 1 is kept for
+    # a failed cross-check, so an input too large to serve exits 2.
+    def allocate(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(np, "linspace", allocate)
+    code, out, err = run_cli(capsys, "sweep", "--d", "2", "--steps", "100000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: input too large to serve: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("d", ["0", "1", "-3", "65"])
 def test_sweep_bad_dimension_exits_2(capsys, d):
     # d = 0 used to exit 1 with an IndexError traceback and d = -3 exit 2 with

@@ -4,7 +4,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from helpers import naive_jordan_lie, naive_weyl_matrix, naive_weyl_stack, traced_peak_mib
+from helpers import (
+    count_calls, naive_jordan_lie, naive_weyl_matrix, naive_weyl_stack, traced_peak_mib,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -563,11 +565,20 @@ def test_convexity_scan_accepts_numpy_integers():
     assert convexity_scan(2, np.int64(3), 7) == convexity_scan(2, 3, 7) == []
 
 
+def test_blocks_are_made_as_they_are_taken():
+    # A list of all 2.4e11 blocks would take ~13 GB before the first one, so
+    # the huge call is made only once a small one is seen to be an iterator.
+    small = _blocks(10, 2)
+    assert iter(small) is small
+    blocks = _blocks(10**15, 2)
+    assert next(blocks) == range(0, 4096) and next(blocks) == range(4096, 8192)
+
+
 @pytest.mark.parametrize("d, size", [(2, 4096), (3, 1820), (16, 64), (64, 4)])
 def test_blocks_cut_the_range_in_order(d, size):
     # 2**14 matrix entries per block, at least one member.
     for n in (0, 1, size - 1, size, size + 1, 3 * size - 1):
-        blocks = _blocks(n, d)
+        blocks = list(_blocks(n, d))
         assert [i for block in blocks for i in block] == list(range(n))
         assert [len(block) for block in blocks[:-1]] == [size] * (len(blocks) - 1)
         assert all(0 < len(block) <= size for block in blocks)
@@ -859,3 +870,81 @@ def test_batch_complexity_refuses_non_unit_trace_member(d, trace):
     rhos[1] *= trace
     with pytest.raises(ValueError, match="square-root table"):
         batch_complexity(rhos)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_batch_complexity_does_not_depend_on_the_block_size(monkeypatch, d):
+    # 23 members are one block by default, and five blocks of 5, 5, 5, 5 and 3
+    # members with the rule cut down to 5 members.
+    rhos = random_mixed_stack(d, (np.arange(23) % d) + 1, np.random.default_rng(d))
+    default = batch_complexity(rhos)
+    monkeypatch.setattr(complexity, "_BLOCK_ENTRIES", 5 * d * d)
+    roots = [0]
+    count_calls(monkeypatch, [complexity], "_batch_psd_sqrt", roots)
+    assert np.array_equal(batch_complexity(rhos), default)
+    assert roots[0] == 5
+
+
+def test_batch_complexity_holds_one_block_at_a_time():
+    # A 10,000-member d = 8 stack is 9.8 MiB; taken whole, its roots, tables
+    # and their temporaries peaked at ~30 MiB traced, one block of 256 at ~1 MiB.
+    rhos = random_mixed_stack(8, (np.arange(10000) % 8) + 1, np.random.default_rng(0))
+    batch_complexity(rhos[:1])  # builds the per-d constants
+    values, peak = traced_peak_mib(lambda: batch_complexity(rhos))
+    assert values.shape == (10000,) and peak <= 3
+
+
+def _three_block_stack(monkeypatch, d):
+    # Ten maximally mixed members in blocks of 4, 4 and 2.
+    monkeypatch.setattr(complexity, "_BLOCK_ENTRIES", 4 * d * d)
+    return np.stack([np.eye(d, dtype=complex) / d] * 10)
+
+
+def _negative_eigenvalue(d):
+    return np.diag([1.0 + 1e-9] + [0.0] * (d - 2) + [-1e-9]).astype(complex)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batch_complexity_finds_a_fault_in_the_last_block(monkeypatch, d):
+    rhos = _three_block_stack(monkeypatch, d)
+    nan, negative, trace = rhos.copy(), rhos.copy(), rhos.copy()
+    nan[9, 0, 1] = np.nan
+    negative[9] = _negative_eigenvalue(d)
+    trace[9] *= 2.0
+    with pytest.raises(NotHermitianError):
+        batch_complexity(nan)
+    with pytest.raises(NegativeEigenvalueError):
+        batch_complexity(negative)
+    with pytest.raises(ValueError, match="square-root table"):
+        batch_complexity(trace)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batch_complexity_checks_symmetry_before_any_root(monkeypatch, d):
+    # A negative eigenvalue in the first block does not mask a NaN in the last.
+    rhos = _three_block_stack(monkeypatch, d)
+    rhos[0] = _negative_eigenvalue(d)
+    rhos[9, 0, 1] = np.nan
+    roots = [0]
+    count_calls(monkeypatch, [complexity], "_batch_psd_sqrt", roots)
+    with pytest.raises(NotHermitianError):
+        batch_complexity(rhos)
+    assert roots[0] == 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batch_complexity_raises_the_first_faulty_block(monkeypatch, d):
+    # Blocks are evaluated in order: a trace fault in block 1 raises before a
+    # negative eigenvalue in block 3 is seen (one stack would have raised
+    # NegativeEigenvalueError), and the other way round.
+    rhos = _three_block_stack(monkeypatch, d)
+    trace_first = rhos.copy()
+    trace_first[1] *= 2.0
+    trace_first[9] = _negative_eigenvalue(d)
+    with pytest.raises(ValueError, match="square-root table"):
+        batch_complexity(trace_first)
+    negative_first = rhos.copy()
+    negative_first[1] = _negative_eigenvalue(d)
+    negative_first[9] *= 2.0
+    with pytest.raises(NegativeEigenvalueError):
+        batch_complexity(negative_first)

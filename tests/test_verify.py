@@ -6,23 +6,12 @@ dimensions every suite accepts."""
 import inspect
 
 import pytest
-from helpers import traced_peak_mib
+from helpers import count_calls, traced_peak_mib
 
 from stabc import charfun, cli, complexity, matcore, states, verify, weyl
 
 SAMPLERS = ("random_pure", "random_mixed", "random_pure_stack", "random_mixed_stack",
             "random_rank_mixed_stack")
-
-
-def _count_calls(monkeypatch, modules, name, counter):
-    original = getattr(modules[0], name)
-
-    def counted(*args, **kwargs):
-        counter[0] += 1
-        return original(*args, **kwargs)
-
-    for module in modules:
-        monkeypatch.setattr(module, name, counted)
 
 
 @pytest.mark.parametrize("suite", ["bounds", "charfun", "complementarity", "stabilizers",
@@ -33,7 +22,7 @@ def test_suites_draw_samples_per_block_not_per_state(monkeypatch, suite):
     # clifford suite's Haar control of at most 16 single draws.
     calls = [0]
     for name in SAMPLERS:
-        _count_calls(monkeypatch, [verify], name, calls)
+        count_calls(monkeypatch, [verify], name, calls)
     dims = (2, 3)
     rows = verify.SUITES[suite](dims=dims, samples=40, seed=0)
     assert rows and all(r.passed for r in rows), rows
@@ -50,8 +39,8 @@ def test_suites_evaluate_samples_per_block_not_per_state(monkeypatch, suite):
     for samples in (40, 80):
         roots, tables = [0], [0]
         with monkeypatch.context() as patch:
-            _count_calls(patch, [matcore, complexity], "_batch_psd_sqrt", roots)
-            _count_calls(patch, [weyl, charfun, states], "weyl_coefficient_table", tables)
+            count_calls(patch, [matcore, complexity], "_batch_psd_sqrt", roots)
+            count_calls(patch, [weyl, charfun, states], "weyl_coefficient_table", tables)
             rows = verify.SUITES[suite](dims=dims, samples=samples, seed=0)
         assert rows and all(r.passed for r in rows), rows
         calls[samples] = (roots[0], tables[0])
@@ -61,8 +50,8 @@ def test_suites_evaluate_samples_per_block_not_per_state(monkeypatch, suite):
 
 def test_tradeoff_suite_reports_each_block_in_one_call(monkeypatch):
     tables, reports = [0], [0]
-    _count_calls(monkeypatch, [complexity, verify], "_definition_tables", tables)
-    _count_calls(monkeypatch, [complexity, cli], "complexity_report", reports)
+    count_calls(monkeypatch, [complexity, verify], "_definition_tables", tables)
+    count_calls(monkeypatch, [complexity, cli], "complexity_report", reports)
     dims = (2, 3)
     rows = verify.suite_tradeoff(dims=dims, samples=40, seed=0)
     assert rows and all(r.passed for r in rows), rows
@@ -101,7 +90,7 @@ def test_sampled_rows_do_not_depend_on_block_size(monkeypatch, suite):
 
     default = observed()
     monkeypatch.setattr(complexity, "_BLOCK_ENTRIES", 64)
-    assert len(verify._blocks(40, 5)) == 20
+    assert len(list(verify._blocks(40, 5))) == 20
     assert observed() == default
 
 
@@ -110,8 +99,8 @@ def test_sweep_reports_each_block_in_one_call(monkeypatch, capsys, d, blocks):
     # 101 grid points: one report for the anchor, then one _reports call per
     # block of 1,820, 64 or 4 members, not one report per point.
     anchors, reports = [0], [0]
-    _count_calls(monkeypatch, [complexity, cli], "complexity_report", anchors)
-    _count_calls(monkeypatch, [cli], "_reports", reports)
+    count_calls(monkeypatch, [complexity, cli], "complexity_report", anchors)
+    count_calls(monkeypatch, [cli], "_reports", reports)
     assert cli.main(["sweep", "--d", str(d), "--steps", "101"]) == 0
     capsys.readouterr()
     assert anchors[0] == 1 and reports[0] == blocks
@@ -135,7 +124,7 @@ def test_deterministic_suites_take_a_fixed_number_of_roots_per_dimension(monkeyp
     for d in (2, 3, 5, 7):
         roots = [0]
         with monkeypatch.context() as patch:
-            _count_calls(patch, [matcore, complexity], "_batch_psd_sqrt", roots)
+            count_calls(patch, [matcore, complexity], "_batch_psd_sqrt", roots)
             try:
                 [(_, rows)] = verify.run_suites([suite], dims=[d], seed=0)
             except ValueError:  # no built-in fiducial
@@ -145,14 +134,17 @@ def test_deterministic_suites_take_a_fixed_number_of_roots_per_dimension(monkeyp
     assert len(counts) == 1 and 1 <= counts.pop() <= most
 
 
-@pytest.mark.parametrize("d, fiducial", [(3, 1), (5, 0), (13, 0)])
-def test_extremal_evaluates_its_stabilizer_states_in_one_call(monkeypatch, capsys, d, fiducial):
-    roots, tables = [0], [0]
-    _count_calls(monkeypatch, [matcore, complexity], "_batch_psd_sqrt", roots)
-    _count_calls(monkeypatch, [complexity, verify], "_definition_tables", tables)
+@pytest.mark.parametrize("d, blocks, fiducial", [(3, 1, 1), (5, 1, 0), (13, 2, 0)])
+def test_extremal_reports_each_block_in_one_call(monkeypatch, capsys, d, blocks, fiducial):
+    # 12, 30 and 182 stabilizer states in blocks of 1,820, 655 and 96, one
+    # _reports call per block; the fiducial's report is one more root and table.
+    reports, roots, tables = [0], [0], [0]
+    count_calls(monkeypatch, [cli], "_reports", reports)
+    count_calls(monkeypatch, [matcore, complexity], "_batch_psd_sqrt", roots)
+    count_calls(monkeypatch, [complexity, verify], "_definition_tables", tables)
     assert cli.main(["extremal", "--d", str(d)]) == 0
     capsys.readouterr()
-    assert roots[0] == tables[0] == 1 + fiducial
+    assert reports[0] == blocks and roots[0] == tables[0] == blocks + fiducial
 
 
 def test_qubit_suite_has_no_per_state_closed_form_or_matrix(monkeypatch):
@@ -161,7 +153,7 @@ def test_qubit_suite_has_no_per_state_closed_form_or_matrix(monkeypatch):
     for name in ("qubit_complexity", "bloch_to_state"):
         for module in (complexity, states, verify):
             if hasattr(module, name):
-                _count_calls(monkeypatch, [module], name, calls)
+                count_calls(monkeypatch, [module], name, calls)
     rows = verify.suite_qubit(samples=40, seed=0)
     assert rows and all(r.passed for r in rows), rows
     assert calls[0] == 0
@@ -183,8 +175,8 @@ def test_every_suite_passes_or_refuses_each_dimension(suite, d):
 
 def test_weyl_suite_builds_each_operator_once_per_row(monkeypatch):
     calls, phases = [0], [0]
-    _count_calls(monkeypatch, [weyl, verify], "weyl_matrix", calls)
-    _count_calls(monkeypatch, [verify], "weyl_product_phase", phases)
+    count_calls(monkeypatch, [weyl, verify], "weyl_matrix", calls)
+    count_calls(monkeypatch, [verify], "weyl_product_phase", phases)
     dims = (2, 3, 4, 5, 7)
     rows = verify.suite_weyl(dims=dims)
     assert all(r.passed for r in rows), rows
