@@ -361,28 +361,39 @@ def _batch_psd_sqrt(rhos: np.ndarray) -> np.ndarray:
 
 
 def _qubit_psd_sqrt(rhos: np.ndarray) -> np.ndarray:
+    # The closed form of _batch_psd_sqrt, each step written into one of four
+    # block-sized buffers (lam_plus, lam_minus, t, u) in the operation order
+    # of the plain expressions, so the roots are bitwise theirs.
     a = rhos[..., 0, 0].real
     c = rhos[..., 1, 1].real
     b = rhos[..., 1, 0]
-    b2 = b.real**2 + b.imag**2
-    lam_plus = 0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b2)
+    lam_plus, lam_minus, t, u = (np.empty(a.shape) for _ in range(4))
+    np.square(b.real, out=u)
+    u += np.square(b.imag, out=t)  # u = |b|^2
+    np.multiply(0.5, np.add(a, c, out=lam_plus), out=lam_plus)
+    np.multiply(0.25, np.square(np.subtract(a, c, out=t), out=t), out=t)
+    lam_plus += np.sqrt(np.add(t, u, out=t), out=t)
     # det / l+ rather than tr - l+, which cancels for near-pure states; where
     # l+ <= 0 there is nothing to divide by and nothing to cancel.
-    lam_minus = np.divide(a * c - b2, lam_plus, out=(a + c) - lam_plus, where=lam_plus > 0)
+    np.subtract(np.add(a, c, out=lam_minus), lam_plus, out=lam_minus)
+    mask = np.greater(lam_plus, 0)
+    np.divide(np.subtract(np.multiply(a, c, out=t), u, out=t), lam_plus, out=lam_minus, where=mask)
     if float(lam_minus.min(initial=0.0)) < EIGENVALUE_FLOOR:
         raise NegativeEigenvalueError(
             f"eigenvalue {lam_minus.min():.3e} below tolerated floor {EIGENVALUE_FLOOR:.1e}"
         )
-    cut = SQRT_RANK_RCOND * lam_plus
-    lam_minus = np.where(lam_minus < cut, 0.0, lam_minus)
-    lam_plus = np.where(lam_plus < cut, 0.0, lam_plus)
-    norm = np.sqrt(lam_plus) + np.sqrt(lam_minus)
+    cut = np.multiply(SQRT_RANK_RCOND, lam_plus, out=t)
+    np.copyto(lam_minus, 0.0, where=np.less(lam_minus, cut, out=mask))
+    np.copyto(lam_plus, 0.0, where=np.less(lam_plus, cut, out=mask))
+    norm = np.sqrt(lam_minus, out=t)
+    norm += np.sqrt(lam_plus, out=u)
     # A member whose eigenvalues are both zeroed has the zero root.
-    scale = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
-    shift = np.sqrt(lam_plus * lam_minus)
+    u.fill(0.0)
+    scale = np.divide(1.0, norm, out=u, where=np.greater(norm, 0, out=mask))
+    shift = np.sqrt(np.multiply(lam_plus, lam_minus, out=lam_plus), out=lam_plus)
     root = np.empty(rhos.shape, dtype=complex)
-    root[..., 0, 0] = (a + shift) * scale
-    root[..., 1, 1] = (c + shift) * scale
-    root[..., 1, 0] = b * scale
-    root[..., 0, 1] = b.conj() * scale
+    np.multiply(np.add(a, shift, out=t), scale, out=root[..., 0, 0])
+    np.multiply(np.add(c, shift, out=t), scale, out=root[..., 1, 1])
+    np.multiply(b, scale, out=root[..., 1, 0])
+    np.multiply(np.conjugate(b, out=root[..., 0, 1]), scale, out=root[..., 0, 1])
     return root

@@ -171,15 +171,24 @@ def weyl_expand(coefficients: np.ndarray) -> np.ndarray:
     return out
 
 
+def _product_law(d: int, k1, l1, k2, l2):
+    """Stacked group law D(k1,l1) D(k2,l2) = tau^e D(k, l), elementwise.
+
+    Takes integer arrays (or ints) of valid indices and returns
+    (e mod 2d, k, l) of the same shape; :func:`weyl_product_phase` is its
+    one-row case.
+    """
+    k = (k1 + k2) % d
+    l = (l1 + l2) % d
+    return (k1 * l1 + k2 * l2 + 2 * l1 * k2 - k * l) % (2 * d), k, l
+
+
 def weyl_product_phase(a: WeylIndex, b: WeylIndex) -> tuple[PhaseExponent, WeylIndex]:
     """Exact group law: matrix(a) @ matrix(b) = tau^e * matrix(reduced index)."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch {a.dim} vs {b.dim}")
-    d = a.dim
-    k2 = (a.k + b.k) % d
-    l2 = (a.l + b.l) % d
-    e = (a.k * a.l + b.k * b.l + 2 * a.l * b.k - k2 * l2) % (2 * d)
-    return PhaseExponent(e, d), WeylIndex(k2, l2, d)
+    e, k, l = _product_law(a.dim, a.k, a.l, b.k, b.l)
+    return PhaseExponent(e, a.dim), WeylIndex(k, l, a.dim)
 
 
 def weyl_basis_check(d: int) -> bool:

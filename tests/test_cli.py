@@ -161,6 +161,7 @@ SAMPLE_ARGS = ["sample", "--d", "3", "--samples", "4", "--seed", "5", "--kind"]
     (["sweep", "--d", "3", "--psi", "fiducial", "--steps", "21", "--format", "json"],
      "sweep_d3_fiducial_steps21.txt"),
     (["verify", "dual-path", "--d", "8", "64"], "verify_dual_path_d8_d64.txt"),
+    (["verify", "weyl", "--d", "8", "--seed", "0"], "verify_weyl_d8_seed0.txt"),
 ])
 def test_output_matches_golden_file(capsys, argv, golden):
     # Written by these command lines (the verify and sweep files while the
@@ -168,7 +169,8 @@ def test_output_matches_golden_file(capsys, argv, golden):
     # while each state was drawn alone, the extremal files while each
     # stabilizer state had its own report, the d = 64 sweep, the fiducial
     # sweep and the dual-path file while the sweep made one report per point
-    # and dual-path drew its states as one stack; the verify file's two
+    # and dual-path drew its states as one stack, the d = 8 weyl file while
+    # the group law was walked one quadruple at a time; the verify file's two
     # bounds-mixed d = 5 rows since bounds draws its mixed ranks per block);
     # pins the text output byte for byte.
     code, out, _ = run_cli(capsys, *argv)

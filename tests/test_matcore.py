@@ -17,6 +17,7 @@ from stabc import (
     random_pure,
 )
 from stabc.matcore import (
+    SQRT_RANK_RCOND,
     _batch_psd_sqrt,
     check_dim,
     random_mixed_stack,
@@ -71,6 +72,56 @@ def test_batch_psd_sqrt_matches_scalar_root(d):
         expected = naive_psd_sqrt(rho)
         assert np.abs(root - expected).max() <= 1e-13
         assert np.abs(psd_sqrt(DensityState(rho)) - expected).max() <= 1e-13
+
+
+def _plain_qubit_root(rhos):
+    # The d = 2 closed form as plain array expressions, one temporary per step.
+    a, c, b = rhos[..., 0, 0].real, rhos[..., 1, 1].real, rhos[..., 1, 0]
+    b2 = b.real**2 + b.imag**2
+    lam_plus = 0.5 * (a + c) + np.sqrt(0.25 * (a - c) ** 2 + b2)
+    lam_minus = np.divide(a * c - b2, lam_plus, out=(a + c) - lam_plus, where=lam_plus > 0)
+    cut = SQRT_RANK_RCOND * lam_plus
+    lam_minus = np.where(lam_minus < cut, 0.0, lam_minus)
+    lam_plus = np.where(lam_plus < cut, 0.0, lam_plus)
+    norm = np.sqrt(lam_plus) + np.sqrt(lam_minus)
+    scale = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0)
+    shift = np.sqrt(lam_plus * lam_minus)
+    return np.stack([np.stack([(a + shift) * scale, b.conj() * scale], -1),
+                     np.stack([b * scale, (c + shift) * scale], -1)], -2)
+
+
+# A zero member, a dust member (l- = 1e-15 < SQRT_RANK_RCOND l+), a NaN member
+# and the maximally mixed state, between random members.
+QUBIT_EDGE_MEMBERS = np.array([np.zeros((2, 2)), np.diag([1.0, 1e-15]),
+                               np.full((2, 2), np.nan), np.eye(2) / 2], dtype=complex)
+
+
+def _qubit_stack_with_edges():
+    rng = np.random.default_rng(5)
+    rhos = random_mixed_stack(2, rng.integers(1, 3, size=4092), rng)
+    return np.concatenate([rhos[:2000], QUBIT_EDGE_MEMBERS, rhos[2000:]])
+
+
+def test_qubit_root_is_bitwise_the_plain_closed_form():
+    stack = _qubit_stack_with_edges()
+    assert _batch_psd_sqrt(stack).tobytes() == _plain_qubit_root(stack).tobytes()
+
+
+def test_qubit_root_edge_members():
+    zero, dust, nan, mixed = _batch_psd_sqrt(_qubit_stack_with_edges())[2000:2004]
+    assert not zero.any()
+    # The dust eigenvalue is zeroed, not rooted: sqrt(1e-15) would give 3.2e-8.
+    assert np.array_equal(dust, np.diag([1.0, 1e-15]))
+    assert np.isnan(nan).all()
+    assert np.abs(mixed - np.eye(2) / np.sqrt(2)).max() <= 1e-16
+
+
+def test_qubit_root_negative_eigenvalue_message():
+    # l- = det / l+ = -0.75 / 1.5, with a healthy member before it.
+    rhos = np.array([np.eye(2) / 2, np.diag([1.5, -0.5])], dtype=complex)
+    with pytest.raises(NegativeEigenvalueError) as info:
+        _batch_psd_sqrt(rhos)
+    assert str(info.value) == "eigenvalue -5.000e-01 below tolerated floor -1.0e-10"
 
 
 @pytest.mark.parametrize("d", [2, 3, 64])

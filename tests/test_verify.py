@@ -5,6 +5,7 @@ dimensions every suite accepts."""
 
 import inspect
 
+import numpy as np
 import pytest
 from helpers import count_calls, traced_peak_mib
 
@@ -174,13 +175,48 @@ def test_every_suite_passes_or_refuses_each_dimension(suite, d):
 
 
 def test_weyl_suite_builds_each_operator_once_per_row(monkeypatch):
-    calls, phases = [0], [0]
+    calls = [0]
     count_calls(monkeypatch, [weyl, verify], "weyl_matrix", calls)
-    count_calls(monkeypatch, [verify], "weyl_product_phase", phases)
+    law = verify._product_law
+    walked = {}
+
+    def recorded(d, k1, l1, k2, l2):
+        walked.setdefault(d, []).append(((k1 * d + l1) * d + k2) * d + l2)
+        return law(d, k1, l1, k2, l2)
+
+    monkeypatch.setattr(verify, "_product_law", recorded)
     dims = (2, 3, 4, 5, 7)
     rows = verify.suite_weyl(dims=dims)
     assert all(r.passed for r in rows), rows
     assert calls[0] <= 3 * sum(d * d for d in dims)
     # The product-law and exponent-law rows share one walk over the d^4
-    # index quadruples.
-    assert phases[0] == sum(d**4 for d in dims)
+    # index quadruples: each quadruple exactly once, one stacked law call per
+    # block of the block rule.
+    assert sorted(walked) == list(dims)
+    for d, blocks in walked.items():
+        assert len(blocks) == len(list(complexity._blocks(d**4, d)))
+        assert np.array_equal(np.concatenate(blocks), np.arange(d**4))
+
+
+def test_weyl_suite_law_rows_hold_one_block_at_a_time():
+    # At the cap the walk is 16 blocks of 256 quadruples; its traced peak
+    # measured 1.1 MiB.  One (4096, 8, 8) stack of the whole walk is 4 MiB.
+    rows, peak = traced_peak_mib(lambda: verify.suite_weyl(dims=[8], seed=0))
+    assert all(r.passed for r in rows), rows
+    assert peak < 2
+
+
+def test_weyl_product_law_row_fails_on_a_nan_operator(monkeypatch):
+    # The basis row reads weyl.weyl_matrix, so only the rows built from
+    # explicit operators see the defect; the exponent law reads no matrix.
+    writer = verify.weyl_matrix
+
+    def damaged(d, k, l):
+        m = writer(d, k, l)
+        if (k, l) == (1, 1):
+            m[1, 0] = np.nan
+        return m
+
+    monkeypatch.setattr(verify, "weyl_matrix", damaged)
+    failed = [r.check_id for r in verify.suite_weyl(dims=[3]) if not r.passed]
+    assert failed == ["weyl-product-law-residual-d3", "weyl-phase-convention-independence-d3"]

@@ -147,6 +147,17 @@ def test_product_phase_law_property(d, data):
     assert np.allclose(product, phase.value * naive_weyl_matrix(d, idx.k, idx.l), atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+def test_product_phase_is_the_stacked_law_row(d):
+    # The whole d^4 walk in one stacked call, against the scalar API per quadruple.
+    k1, l1, k2, l2 = np.indices((d,) * 4).reshape(4, -1)
+    e, k, l = weyl._product_law(d, k1, l1, k2, l2)
+    for row in range(d**4):
+        phase, idx = weyl_product_phase(WeylIndex(int(k1[row]), int(l1[row]), d),
+                                        WeylIndex(int(k2[row]), int(l2[row]), d))
+        assert (phase.exponent, idx.k, idx.l) == (e[row], k[row], l[row])
+
+
 def test_product_phase_dim_mismatch():
     with pytest.raises(DimensionMismatchError):
         weyl_product_phase(WeylIndex(0, 0, 2), WeylIndex(0, 0, 3))
