@@ -398,10 +398,13 @@ def batch_complexity(rhos: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a stack of square matrices, got shape {rhos.shape}")
     n, d = rhos.shape[0], check_dim(rhos.shape[1])
     blocks = [slice(block.start, block.stop) for block in _blocks(n, d)]
-    # NaN or inf makes the defect NaN, which fails the test as well (np.max
+    # Entry (j, i) of A - A^dag has exactly the modulus of entry (i, j), so the
+    # lower triangle, diagonal included, gives the whole defect.  NaN or inf
+    # in either triangle makes it NaN, which fails the test as well (np.max
     # keeps a NaN, where Python's max could drop it).
+    rows, cols = np.tril_indices(d)
     defect = float(np.max(
-        [np.abs(rhos[b] - np.conj(np.swapaxes(rhos[b], 1, 2))).max() for b in blocks],
+        [np.abs(rhos[b, rows, cols] - np.conj(rhos[b, cols, rows])).max() for b in blocks],
         initial=0.0,
     ))
     if not defect <= HERMITIAN_TOL * d:
@@ -485,11 +488,16 @@ def _scan_block(
 ) -> list[ConvexityViolation]:
     """Violations among the block's mixtures lam rho_a + (1 - lam) rho_b, indexed from ``first``.
 
-    The one copy of the convexity rule: the witness is a block of one.
+    The one copy of the convexity rule: the witness is a block of one.  The
+    states are sampler output or the witness, and the mixtures convex
+    combinations of them, so all are Hermitian and finite: each stack, one
+    :func:`_blocks` block, goes straight to the root and moment kernels,
+    bitwise what :func:`batch_complexity` gives without its input check.
     """
     w = lam[:, None, None]
-    c_mix = batch_complexity(w * rho_a + (1 - w) * rho_b)
-    c_avg = lam * batch_complexity(rho_a) + (1 - lam) * batch_complexity(rho_b)
+    c_mix = _moment_complexities(_batch_psd_sqrt(w * rho_a + (1 - w) * rho_b))
+    c_avg = (lam * _moment_complexities(_batch_psd_sqrt(rho_a))
+             + (1 - lam) * _moment_complexities(_batch_psd_sqrt(rho_b)))
     return [ConvexityViolation(first + int(i), float(lam[i]), float(c_mix[i]), float(c_avg[i]))
             for i in np.flatnonzero(c_mix > c_avg + _CONVEXITY_TOL)]
 

@@ -5,6 +5,7 @@ explicit traces) so it cannot share failure modes with the structured
 implementations under test.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,32 @@ def count_calls(monkeypatch, modules, name, counter):
 
     for module in modules:
         monkeypatch.setattr(module, name, counted)
+
+
+# A number that stands alone: not the digits of a name such as "rank2-d64".
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def rounding_changes_only(old: str, new: str, atol: float = 1e-10, rtol: float = 1e-12) -> list[str]:
+    """The lines of ``new`` that differ from ``old`` by more than rounding; [] if none.
+
+    Each line is cut into numbers and the text between them.  The text must be
+    equal up to runs of whitespace (column padding), so every name, PASS/FAIL
+    and word is; each number must lie within atol + rtol max(1, |old|) of its
+    old value, so a count that moves by one fails.
+    """
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return [f"{len(old_lines)} lines became {len(new_lines)}"]
+    changed = []
+    for number, (a, b) in enumerate(zip(old_lines, new_lines), 1):
+        texts = [[" ".join(piece.split()) for piece in _NUMBER.split(line)] for line in (a, b)]
+        values = [[float(v) for v in _NUMBER.findall(line)] for line in (a, b)]
+        if texts[0] != texts[1] or len(values[0]) != len(values[1]) or any(
+            not abs(y - x) <= atol + rtol * max(1.0, abs(x)) for x, y in zip(*values)
+        ):
+            changed.append(f"line {number}: {a!r} -> {b!r}")
+    return changed
 
 
 def traced_peak_mib(call):

@@ -18,6 +18,7 @@ from stabc import (
     sqrt_char_table,
 )
 from stabc.charfun import SOURCE_GENERIC, SOURCE_SQRT_STATE, SOURCE_STATE
+from stabc.matcore import _power_sums
 from stabc.states import BlochVector, bloch_to_state
 
 T_BLOCH = BlochVector(*(np.ones(3) / np.sqrt(3)))
@@ -169,10 +170,21 @@ def test_moment_refuses_infinite_and_overflowing_exponents():
 
 @pytest.mark.parametrize("p", [2.0, 3.5, 4.0, 400.0])
 def test_moment_values_are_the_plain_power_sum(p):
-    # The overflow guard changes no finite value: printed m4 columns carry the bits.
+    # The overflow guard changes no finite value: printed m4 columns carry the
+    # bits.  The kernel sums in its own order, so the plain sum agrees to rounding.
     for table in (sqrt_char_table(random_mixed(5, 2, 3)), char_table(random_pure(7, 4))):
-        expected = float(np.sum(np.abs(table.values) ** p) ** (1.0 / p))
-        assert lp_moment(table, p) == expected
+        guard_free = float(_power_sums(table.values[None], p)[0] ** (1.0 / p))
+        plain = float(np.sum(np.abs(table.values) ** p) ** (1.0 / p))
+        assert lp_moment(table, p) == guard_free
+        assert lp_moment(table, p) == pytest.approx(plain, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sqrt_table_check_refuses_non_finite_entries(bad):
+    values = sqrt_char_table(random_mixed(3, 2, 5)).values.copy()
+    values[1, 2] = bad
+    with pytest.raises(ValueError, match=r"sum \|c\|\^2"):
+        CharTable(values, SOURCE_SQRT_STATE)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

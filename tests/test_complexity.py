@@ -47,6 +47,7 @@ from stabc import (
 from stabc import complexity
 from stabc.complexity import _blocks, _definition_tables, _moment_complexities, _reports
 from stabc.matcore import (
+    HERMITIAN_TOL,
     _batch_psd_sqrt,
     _checked_sqrt_stack,
     _pure_members,
@@ -930,6 +931,42 @@ def test_batch_complexity_checks_symmetry_before_any_root(monkeypatch, d):
     with pytest.raises(NotHermitianError):
         batch_complexity(rhos)
     assert roots[0] == 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_batch_complexity_symmetry_defect_is_the_same_from_either_triangle(monkeypatch, d):
+    # The check reads the lower triangle only: an asymmetry planted above or
+    # below the diagonal of the last block gives the message of the full
+    # |A - A^dag| maximum, and a NaN or inf above the diagonal still raises.
+    rhos = _three_block_stack(monkeypatch, d)
+    messages = []
+    for at in ((9, 0, d - 1), (9, d - 1, 0)):
+        planted = rhos.copy()
+        planted[at] += 3e-11 + 2e-11j
+        full = np.abs(planted - planted.conj().swapaxes(1, 2)).max()
+        with pytest.raises(NotHermitianError) as error:
+            batch_complexity(planted)
+        messages.append(str(error.value))
+        assert messages[-1] == (f"stack symmetry defect {full:.3e} exceeds "
+                                f"{HERMITIAN_TOL * d:.3e} (or is not finite)")
+    assert messages[0] == messages[1]
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        planted = rhos.copy()
+        planted[9, 0, d - 1] = bad
+        with pytest.raises(NotHermitianError, match="not finite"):
+            batch_complexity(planted)
+
+
+def test_convexity_scan_takes_its_draws_to_the_kernels(monkeypatch):
+    # Its states and mixtures are Hermitian and finite by construction, so no
+    # batch_complexity input check runs: one root per stack, three per block
+    # and three for the witness.
+    calls, roots = [0], [0]
+    count_calls(monkeypatch, [complexity], "batch_complexity", calls)
+    count_calls(monkeypatch, [complexity], "_batch_psd_sqrt", roots)
+    convexity_scan(3, 1820 + 5, 23)
+    assert calls[0] == 0
+    assert roots[0] == 3 * 3
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from helpers import naive_psd_sqrt, oracle_random_mixed, oracle_random_pure
@@ -16,9 +18,11 @@ from stabc import (
     random_mixed,
     random_pure,
 )
+from stabc.complexity import _BLOCK_ENTRIES
 from stabc.matcore import (
     SQRT_RANK_RCOND,
     _batch_psd_sqrt,
+    _power_sums,
     check_dim,
     random_mixed_stack,
     random_pure_stack,
@@ -363,3 +367,61 @@ def test_mix_weights():
         mix([a, b], [-0.5, 1.5])
     with pytest.raises(DimensionMismatchError):
         mix([a, DensityState.maximally_mixed(3)], [0.5, 0.5])
+
+
+# -- the one power-sum reduction ----------------------------------------------
+
+POWER_SUM_EXPONENTS = (2, 3.5, 4, 6)
+
+
+def _gaussian_stack(d, n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 64])
+def test_power_sums_agree_with_an_exact_sum(d):
+    stack = _gaussian_stack(d, 4, d)
+    for p in POWER_SUM_EXPONENTS:
+        exact = [math.fsum(abs(complex(x)) ** p for x in member.ravel()) for member in stack]
+        assert np.abs(_power_sums(stack, p) / exact - 1.0).max() <= 1e-13, p
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9, 13])
+def test_power_sums_are_bitwise_the_one_row_case_at_every_position(d):
+    # Odd d: the members start at every offset modulo a 4- or 8-lane vector.
+    stack = _gaussian_stack(d, 1 + _BLOCK_ENTRIES // (d * d), d)
+    sums = _power_sums(stack, *POWER_SUM_EXPONENTS)
+    for i, member in enumerate(stack):
+        one = _power_sums(member[None], *POWER_SUM_EXPONENTS)
+        assert [total[i] for total in sums] == [total[0] for total in one], i
+    # A fancy-indexed stack, as the purity rule's rhos[at], is its members' rows.
+    at = np.arange(stack.shape[0])[::-3]
+    assert all(np.array_equal(picked, total[at])
+               for picked, total in zip(_power_sums(stack[at], *POWER_SUM_EXPONENTS), sums))
+
+
+@pytest.mark.parametrize("d", [2, 3, 64])
+def test_power_sums_of_several_exponents_are_each_their_own_call(d):
+    stack = _gaussian_stack(d, 7, d)
+    squares, fourths = _power_sums(stack, 2, 4)
+    assert np.array_equal(squares, _power_sums(stack, 2))
+    assert np.array_equal(fourths, _power_sums(stack, 4))
+    assert np.array_equal(_power_sums(stack, 3.5, 2)[1], squares)
+
+
+@pytest.mark.parametrize("d", [2, 3, 64])
+def test_power_sums_of_an_empty_stack_are_empty(d):
+    empty = np.zeros((0, d, d), dtype=complex)
+    assert _power_sums(empty, 2).shape == (0,)
+    assert [total.shape for total in _power_sums(empty, 2, 4, 3.5)] == [(0,)] * 3
+
+
+def test_power_sums_take_any_square_stack():
+    # Real entries, a strided view and a stack of stacks give the sums of
+    # their complex, contiguous copies.
+    stack = _gaussian_stack(4, 6, 0)
+    for view in (stack.real, stack[:, ::2, ::2], stack.reshape(2, 3, 4, 4)):
+        copy = np.array(view, dtype=complex)
+        assert np.array_equal(_power_sums(view, 2), _power_sums(copy, 2))
+        assert np.array_equal(_power_sums(view, 4), _power_sums(copy, 4))
