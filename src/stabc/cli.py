@@ -137,44 +137,35 @@ def cmd_sweep(args) -> int:
 
     grid = np.linspace(0.0, 1.0, args.steps)
     h = grid[1] - grid[0]
-    rows = []
+    blocks = []
     for block in _blocks(args.steps, d):
         rhos = _rho_p_stack(psi, grid[block])
         reports = _reports(rhos, _checked_sqrt_stack(rhos))
         m4 = _lp_moments(_checked_tables(rhos, SOURCE_STATE), 4.0)
-        for p, rep, m4_p in zip(grid[block].tolist(), reports, m4.tolist()):
-            c_closed = _rho_p_closed_form(d, p, c_psi)
-            if abs(c_closed - rep.c_value) > _RHO_P_CLOSED_FORM_TOL:
-                raise ArithmeticError(
-                    f"closed form {c_closed} and generic value {rep.c_value} disagree at p={p}"
-                )
-            rows.append({
-                "p": p,
-                "c_value": rep.c_value,
-                "c_analytic": c_closed,
-                "m4": m4_p,
-                "jordan_min": float(rep.jordan_table.min()),
-                "jordan_max": float(rep.jordan_table.max()),
-                "lie_min": float(rep.lie_table.min()),
-                "lie_max": float(rep.lie_table.max()),
-            })
-    analytic = [row["c_analytic"] for row in rows]
-    for i, row in enumerate(rows):
-        if 0 < i < len(rows) - 1:
-            row["second_difference"] = (analytic[i + 1] - 2 * analytic[i] + analytic[i - 1]) / h**2
-        else:
-            row["second_difference"] = None
+        c_closed = np.array([_rho_p_closed_form(d, p, c_psi) for p in grid[block].tolist()])
+        bad = np.flatnonzero(np.abs(c_closed - reports.c_value) > _RHO_P_CLOSED_FORM_TOL)
+        if bad.size:
+            i = bad[0]
+            raise ArithmeticError(f"closed form {c_closed[i]} and generic value "
+                                  f"{reports.c_value[i]} disagree at p={grid[block][i]}")
+        jordan, lie = reports.jordan, reports.lie
+        blocks.append([grid[block], reports.c_value, c_closed, m4, jordan.min(axis=(1, 2)),
+                       jordan.max(axis=(1, 2)), lie.min(axis=(1, 2)), lie.max(axis=(1, 2))])
+    keys = ["p", "c_value", "c_analytic", "m4", "jordan_min", "jordan_max", "lie_min", "lie_max"]
+    columns = dict(zip(keys, map(np.concatenate, zip(*blocks))))
+    analytic = columns["c_analytic"]
+    second = (analytic[2:] - 2 * analytic[1:-1] + analytic[:-2]) / h**2
+    columns = {key: column.tolist() for key, column in columns.items()}
+    columns["second_difference"] = [None, *second.tolist(), None]
 
-    header = ["p", "c_value", "c_analytic", "second_difference", "m4",
-              "jordan_min", "jordan_max", "lie_min", "lie_max"]
     if args.format == "json":
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
         _emit(json.dumps(rows, indent=2) + "\n", args.out)
     else:
+        header = [*keys[:3], "second_difference", *keys[3:]]
         lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(
-                "" if row[key] is None else _fmt(row[key]) for key in header
-            ))
+        for row in zip(*(columns[key] for key in header)):
+            lines.append(",".join("" if value is None else _fmt(value) for value in row))
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -185,12 +176,13 @@ def cmd_extremal(args) -> int:
     c_values = []
     for block in _blocks(len(states), d):
         projectors = np.stack([states[i].rho for i in block])
-        c_values += [r.c_value for r in _reports(projectors, _checked_sqrt_stack(projectors))]
+        c_values.append(_reports(projectors, _checked_sqrt_stack(projectors)).c_value)
+    c_values = np.concatenate(c_values)
     doc: dict = {
         "dim": d,
         "stabilizer_count": len(c_values),
-        "stabilizer_c_min": min(c_values),
-        "stabilizer_c_max": max(c_values),
+        "stabilizer_c_min": float(c_values.min()),
+        "stabilizer_c_max": float(c_values.max()),
         "pure_floor": pure_complexity_floor(d),
         "global_ceiling": complexity_upper_bound(d),
         "reference_moments": {

@@ -27,6 +27,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isnan
+from typing import NamedTuple
 
 import numpy as np
 
@@ -204,14 +206,33 @@ def complexity_report(rho: DensityState) -> ComplexityReport:
     the global bounds, or (for pure states) the complementarity with the
     fourth-moment magic witness.  The one-row case of :func:`_reports`.
     """
-    return _reports(rho.rho[None], psd_sqrt(rho)[None])[0]
+    block = _reports(rho.rho[None], psd_sqrt(rho)[None])
+    c, c_def, gap, purity, m4 = [column.item() for column in block[:5]]
+    return ComplexityReport(rho.dim, c, c_def, c, block.jordan[0], block.lie[0], gap, purity,
+                            None if isnan(m4) else m4)
 
 
-def _reports(rhos: np.ndarray, roots: np.ndarray) -> list[ComplexityReport]:
+class _ReportBlock(NamedTuple):
+    """The fields of :class:`ComplexityReport` as columns, one entry per member of a stack.
+
+    The five scalar columns come first; m4_fourth_power is NaN where a member
+    is not pure.  jordan and lie are the read-only (n, d, d) tables.
+    """
+
+    c_value: np.ndarray
+    c_via_definition: np.ndarray
+    path_gap: np.ndarray
+    purity: np.ndarray
+    m4_fourth_power: np.ndarray
+    jordan: np.ndarray
+    lie: np.ndarray
+
+
+def _reports(rhos: np.ndarray, roots: np.ndarray) -> _ReportBlock:
     """:func:`complexity_report` of each member of a stack (n, d, d), given its checked roots.
 
     Each check runs on every member, in the order listed above, and an error
-    reports the worst member.  Only members that pass the purity rule get state tables.
+    reports the worst member.  Only pure members get state tables and an m4 entry.
     """
     d = roots.shape[-1]
     jordan, lie = _definition_tables(roots)
@@ -227,19 +248,18 @@ def _reports(rhos: np.ndarray, roots: np.ndarray) -> list[ComplexityReport]:
         raise ArithmeticError(f"complexity {c_mom[np.argmax(outside)]} outside [0, {ceiling}]")
 
     purities, at = _pure_members(rhos, roots)
-    m4_fourth = {}
+    m4_fourth = np.empty(len(c_mom))
+    m4_fourth.fill(np.nan)  # np.full infers a dtype from the NaN: ~1% of a one-row report at d = 8
     if at.size:
         m4 = _power_sums(_checked_tables(rhos[at], SOURCE_STATE), 4)
         defect = np.abs(m4 + c_mom[at] - d * d).max()
         if not defect <= _COMPLEMENTARITY_TOL:
             raise ArithmeticError(f"pure-state complementarity defect {defect:.3e}")
-        m4_fourth = dict(zip(at.tolist(), m4.tolist()))
+        m4_fourth[at] = m4
 
     jordan.setflags(write=False)
     lie.setflags(write=False)
-    fields = zip(c_mom.tolist(), c_def.tolist(), jordan, lie, gap.tolist(), purities.tolist())
-    return [ComplexityReport(d, c, c_d, c, jt, lt, g, p, m4_fourth.get(n))
-            for n, (c, c_d, jt, lt, g, p) in enumerate(fields)]
+    return _ReportBlock(c_mom, c_def, gap, purities, m4_fourth, jordan, lie)
 
 
 def qubit_complexity(bloch: BlochVector | tuple[float, float, float]) -> float:

@@ -135,9 +135,10 @@ class DensityState:
             raise ValueError(f"expected a state vector (1-D), got shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("state vector has non-finite entries")
-        n = np.linalg.norm(v)
-        if n < 1e-12:
-            raise ValueError("cannot normalize a (near-)zero vector")
+        with np.errstate(over="ignore"):  # a norm past the float range is inf, refused below
+            n = np.linalg.norm(v)
+        if not 1e-12 <= n < np.inf:
+            raise ValueError(f"cannot normalize a vector of norm {n:.3e}")
         v = v / n
         return cls(np.outer(v, v.conj()), check=False)
 

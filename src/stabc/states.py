@@ -183,7 +183,8 @@ def certify_fiducial(f: np.ndarray) -> tuple[bool, float]:
     d = check_dim(f.size)
     if not np.isfinite(f).all():
         raise NotNormalizedError("fiducial candidate has non-finite entries")
-    n = np.linalg.norm(f)
+    with np.errstate(over="ignore"):  # a norm past the float range is inf, refused below
+        n = np.linalg.norm(f)
     if not abs(n - 1.0) <= 1e-10:
         raise NotNormalizedError(f"fiducial candidate has norm {n}, expected 1 within 1e-10")
     table = weyl_coefficient_table(np.outer(f, f.conj()))

@@ -220,8 +220,8 @@ def suite_tradeoff(dims=None, samples=None, seed=0) -> list[CheckResult]:
         # Every member goes through the report and its checks.
         def defects(members):
             rhos = _sample_block(d, members, rng)
-            return np.array([np.abs(r.jordan_table + r.lie_table - 2.0).max()
-                             for r in _reports(rhos, _checked_sqrt_stack(rhos))])
+            reports = _reports(rhos, _checked_sqrt_stack(rhos))
+            return np.abs(reports.jordan + reports.lie - 2.0).max(axis=(1, 2))
         results.append(_leq(f"tradeoff-sum-defect-d{d}", _per_member(n, d, defects).max(), 1e-10))
     return results
 
@@ -472,8 +472,8 @@ def run_suites(names, dims=None, samples=None, seed=0) -> list[tuple[str, list[C
 
     ``dims`` and ``samples`` override one named suite's defaults.  ValueError
     refuses them with ``all``, samples below 1 or for a suite that draws none
-    (weyl, rho-p, fiducials), repeated dimensions, and dimensions a suite has
-    no check for.
+    (weyl, rho-p, fiducials), no or repeated dimensions, and dimensions a
+    suite has no check for.
     """
     if not names or names == ["all"]:
         names = list(SUITES)
@@ -482,6 +482,8 @@ def run_suites(names, dims=None, samples=None, seed=0) -> list[tuple[str, list[C
         raise ValueError("dimension and sample overrides need one named suite, not 'all'")
     if samples is not None and _check_int(samples, "samples") < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if dims is not None and len(dims) == 0:
+        raise ValueError("dimensions must be one or more, got none")
     if dims is not None and len(set(dims)) < len(dims):
         raise ValueError(f"dimensions must be distinct, got {' '.join(map(str, dims))}")
     out = []

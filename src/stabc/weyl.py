@@ -162,8 +162,7 @@ def weyl_expand(coefficients: np.ndarray) -> np.ndarray:
     _, fourier, phase = _table_constants(d)
     j = np.arange(d)
     rev = (d - j) % d
-    # D(k,l) D(-k,-l) = tau^e 1 with e = k l + (-k)(-l) + 2 l (-k) mod 2d.
-    e = (np.outer(j, j) + np.outer(rev, rev) + 2 * np.outer(j, rev).T) % (2 * d)
+    e = _product_law(d, j[:, None], j[None, :], rev[:, None], rev[None, :])[0]
     adjoint = tau_power(d, -e) * c[np.ix_(rev, rev)]  # [k, l] = tr(D(k,l)^dag A)
     h = (adjoint * phase) @ fourier / d  # [k, j]
     out = np.empty((d, d), dtype=complex)

@@ -550,6 +550,13 @@ def test_run_suites_refuses_non_integer_samples(samples):
         run_suites(["bounds"], samples=samples)
 
 
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_run_suites_refuses_empty_dimensions(suite):
+    # dims=[] used to run the suite's default dimensions.
+    with pytest.raises(ValueError, match="dimensions must be one or more"):
+        run_suites([suite], dims=[])
+
+
 def test_verify_repeated_dimension_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "weyl", "--d", "3", "3")
     assert code == 2

@@ -287,18 +287,28 @@ def _report_stack(d):
 
 @pytest.mark.parametrize("d", [2, 3, 7])
 def test_stacked_reports_are_bitwise_the_one_row_report(d):
+    # Every entry of a column is bitwise the field of its member's one-row
+    # report, a NaN in the m4 column is that report's None, and the tables
+    # are read-only.
     rhos = _report_stack(d)
-    reports = _reports(rhos, _checked_sqrt_stack(rhos))
-    has_m4 = [r.m4_fourth_power is not None for r in reports]
-    assert has_m4 == [i < 3 + d + 1 for i in range(len(rhos))]
-    for rho, rep in zip(rhos, reports):
+    block = _reports(rhos, _checked_sqrt_stack(rhos))
+    n = len(rhos)
+    assert [column.shape for column in block] == [(n,)] * 5 + [(n, d, d)] * 2
+    assert not block.jordan.flags.writeable and not block.lie.flags.writeable
+    assert (~np.isnan(block.m4_fourth_power)).tolist() == [i < 3 + d + 1 for i in range(n)]
+    columns = {"dim": np.full(n, d), "c_via_moments": block.c_value,
+               "jordan_table": block.jordan, "lie_table": block.lie, **block._asdict()}
+    for i, rho in enumerate(rhos):
         one = complexity_report(DensityState(rho))
-        for field in fields(rep):
-            got, expected = getattr(rep, field.name), getattr(one, field.name)
-            if isinstance(got, np.ndarray):
-                assert np.array_equal(got, expected) and not got.flags.writeable, field.name
+        for field in fields(one):
+            got, expected = columns[field.name][i], getattr(one, field.name)
+            if isinstance(expected, np.ndarray):
+                assert np.array_equal(got, expected) and not expected.flags.writeable, field.name
+            elif expected is None:
+                assert np.isnan(got), field.name
             else:
-                assert type(got) is type(expected) and got == expected, field.name
+                assert type(expected) in (int, float), field.name
+                assert float(got).hex() == float(expected).hex(), field.name
 
 
 @pytest.mark.parametrize("d", [2, 3, 7])
@@ -821,7 +831,7 @@ def test_empty_stacks_give_empty_results(d):
     assert roots.shape == (0, d, d)
     assert _moment_complexities(roots).shape == (0,)
     assert all(table.shape == (0, d, d) for table in _definition_tables(roots))
-    assert _reports(empty, roots) == []
+    assert [column.shape for column in _reports(empty, roots)] == [(0,)] * 5 + [(0, d, d)] * 2
 
 
 def test_batch_complexity_validates_shape():

@@ -221,6 +221,20 @@ def test_certify_rejects_non_finite():
         certify_fiducial(np.array([np.nan, 0.0]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pure_state_and_certificate_refuse_an_overflowing_norm():
+    # The norm of (1e200, 1e200) is inf.  The pure state divided by it and
+    # became the zero matrix, whose report then failed a cross-check (exit 1)
+    # instead of refusing the input; both warned of the overflow.
+    with pytest.raises(ValueError, match="norm inf"):
+        DensityState.pure(np.array([1e200, 1e200]))
+    with pytest.raises(NotNormalizedError, match="norm inf"):
+        certify_fiducial(np.array([1e200, 1e200]))
+    v = np.array([1e150, 1e150], dtype=complex)  # a finite norm keeps its bits
+    u = v / np.linalg.norm(v)
+    assert np.array_equal(DensityState.pure(v).rho, np.outer(u, u.conj()))
+
+
 @pytest.mark.parametrize("bad", [np.eye(2) / np.sqrt(2), np.array([[1.0, 0.0]]), np.array(1.0)])
 def test_pure_state_and_certificate_refuse_non_vectors(bad):
     # Both used to flatten their input: the identity became a d = 4 state

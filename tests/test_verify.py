@@ -107,6 +107,27 @@ def test_sweep_reports_each_block_in_one_call(monkeypatch, capsys, d, blocks):
     assert anchors[0] == 1 and reports[0] == blocks
 
 
+def test_reports_are_built_by_complexity_report_alone(monkeypatch, capsys):
+    # _reports hands its callers columns.  The sweep builds one report, its
+    # anchor's; extremal at d = 13 (no built-in fiducial) and the tradeoff
+    # suite read the columns and build none.  One report per member built
+    # 102, 182 and 800.
+    built, one_rows = [0], [0]
+    count_calls(monkeypatch, [complexity], "ComplexityReport", built)
+    count_calls(monkeypatch, [complexity, cli], "complexity_report", one_rows)
+
+    def counts(call):
+        built[0] = one_rows[0] = 0
+        call()
+        capsys.readouterr()
+        return built[0], one_rows[0]
+
+    assert counts(lambda: cli.main(["sweep", "--d", "16", "--steps", "101"])) == (1, 1)
+    assert counts(lambda: cli.main(["extremal", "--d", "13"])) == (0, 0)
+    assert counts(lambda: verify.suite_tradeoff()) == (0, 0)
+    assert counts(lambda: complexity.complexity_report(matcore.random_mixed(3, 2, 0))) == (1, 1)
+
+
 def test_sweep_holds_one_block_at_a_time(capsys):
     # 3.0 MiB traced at d = 64, one block of 4 members; the whole 101-member
     # grid as one stack held 63 MiB.  The per-point loop before the block rule
