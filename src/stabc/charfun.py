@@ -29,7 +29,8 @@ SOURCE_GENERIC = "generic"
 _SQRT_NORM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+# eq=False: == and hash by identity, as DensityState; a generated == raises on array fields.
+@dataclass(frozen=True, eq=False)
 class CharTable:
     """d x d table of characteristic-function values with a source tag.
 

@@ -46,8 +46,9 @@ from .matcore import (
     random_rank_mixed_stack,
 )
 from .states import enumerate_stabilizer_states, known_fiducial
-from .stateio import density_state_dict, load_state, pure_state_dict, save_state
-from .verify import SUITES, run_suites
+
+# stateio and verify are imported by the commands that use them: a fresh
+# interpreter compiles every module it imports, and most commands need neither.
 
 
 def _seed(args) -> int:
@@ -75,6 +76,7 @@ def _fmt(x: float) -> str:
 
 
 def cmd_compute(args) -> int:
+    from .stateio import load_state
     state = load_state(args.input)
     report = complexity_report(state)
     doc: dict = {
@@ -98,6 +100,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites
     suites = run_suites([args.suite], dims=args.d, samples=args.samples, seed=_seed(args))
     lines = []
     failed = 0
@@ -122,6 +125,7 @@ def _sweep_anchor(d: int, source: str) -> DensityState:
         return DensityState.pure(np.eye(d, dtype=complex)[:, 0])
     if source == "fiducial":
         return known_fiducial(d).projector()
+    from .stateio import load_state
     return load_state(source)
 
 
@@ -214,6 +218,7 @@ def cmd_sample(args) -> int:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.kind == "pure" and args.rank is not None:
         raise ValueError("--rank applies to --kind mixed only")
+    from .stateio import density_state_dict, pure_state_dict, save_state
     rng = np.random.default_rng(np.random.SeedSequence([_seed(args), 100]))
     if args.kind == "pure":
         docs = [pure_state_dict(v) for v in random_pure_vectors(d, args.samples, rng)]
@@ -254,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite", nargs="?", default="all", choices=[*SUITES, "all"])
+    # run_suites refuses an unknown name and lists the suites
+    p.add_argument("suite", nargs="?", default="all", help="suite name, or 'all' (default)")
     p.add_argument("--d", type=int, nargs="+", default=None, help="dimensions (one suite only)")
     p.add_argument("--samples", type=int, default=None, help="sample count (one suite only)")
     add_common(p, seeded=True)

@@ -177,7 +177,8 @@ def complexity_by_moments(rho: DensityState) -> float:
     return float(_moment_complexities(psd_sqrt(rho)[None])[0])
 
 
-@dataclass(frozen=True)
+# eq=False: == and hash by identity, as DensityState; a generated == raises on array fields.
+@dataclass(frozen=True, eq=False)
 class ComplexityReport:
     """Both complexity routes with their per-point tables and diagnostics.
 

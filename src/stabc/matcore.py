@@ -328,13 +328,14 @@ def _ginibre_stack(d: int, ranks: np.ndarray, normals: np.ndarray) -> np.ndarray
         blocks = normals[starts[members][:, None] + np.arange(2 * d * r)]
         g = blocks[:, : d * r].reshape(-1, d, r) + 1j * blocks[:, d * r :].reshape(-1, d, r)
         out[members] = g @ g.conj().swapaxes(-1, -2)
-    # One real BLAS call between the complex products and the trace.  After a
-    # batched complex matmul, numpy's reductions over short axes run 7-11x
-    # slower until some other calls run (OpenBLAS 0.3.31, x86-64): np.trace of
-    # a (4096, 2, 2) stack takes 0.9-1.5 ms against 0.12 ms, and the d = 2
+    # One real BLAS call between the complex products and the trace.  After
+    # any complex matrix product, batched or 2-D (2 x 2 up to 64 x 64, and
+    # (14560, 8) @ (8, 8)), numpy's reductions over short axes run 6-12x slower
+    # until some other calls run (OpenBLAS 0.3.31, x86-64): np.trace of a
+    # (4096, 2, 2) stack takes 0.8-1.6 ms against 0.12-0.14 ms, and the d = 2
     # convexity scan ~20% longer.  Every real BLAS call tried clears it (a dot
-    # of two 2-vectors, dgemv, dgemm); einsum, a small elementwise ufunc and
-    # some stacked eigh calls do not.  Elementwise ufuncs are not slowed.
+    # of two 2-vectors, dgemv, dgemm), as does eigh of a (1, 64, 64) or
+    # (1820, 3, 3) stack; einsum does not.  Elementwise ufuncs are not slowed.
     np.dot(_REAL_PAIR, _REAL_PAIR)
     return np.divide(out, np.trace(out, axis1=1, axis2=2).real[:, None, None], out=out)
 

@@ -26,7 +26,7 @@ from .errors import (
     NotPrimeError,
 )
 from .charfun import _moment_complexities
-from .matcore import DensityState, check_dim
+from .matcore import DensityState, _hs_norms, check_dim
 from .weyl import WeylIndex, tau_power, weyl_coefficient_table
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -131,11 +131,13 @@ def enumerate_stabilizer_states(d: int) -> StabilizerSet:
     generators = [WeylIndex(0, 1, d)] + [WeylIndex(1, m, d) for m in range(d)]
     j = np.arange(d)
     n = (-j)[:, None] % d  # row s has eigenvalue omega^s
-    blocks = [np.eye(d, dtype=complex)] + [
+    vectors = np.concatenate([np.eye(d, dtype=complex)] + [
         tau_power(d, m * j * j + 2 * n * j) / np.sqrt(d) for m in range(d)
-    ]
-    states = [DensityState.pure(vector) for block in blocks for vector in block]
-    projectors = np.stack([state.rho for state in states])
+    ])
+    # Normalized and projected as DensityState.pure does, bitwise, for all at once.
+    vectors /= _hs_norms(vectors)[:, None]
+    projectors = vectors[:, :, None] * vectors[:, None, :].conj()
+    states = [DensityState(rho, check=False) for rho in projectors]
 
     # For projectors sqrt(rho) = rho, so the moment route needs no eigensolve.
     floor = d * d - d
@@ -157,7 +159,8 @@ def enumerate_stabilizer_states(d: int) -> StabilizerSet:
     return StabilizerSet(d, tuple(generators), tuple(states))
 
 
-@dataclass(frozen=True)
+# eq=False: == and hash by identity, as DensityState; a generated == raises on array fields.
+@dataclass(frozen=True, eq=False)
 class FiducialCandidate:
     """A unit vector with its SIC-overlap certificate."""
 

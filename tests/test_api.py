@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -121,3 +122,21 @@ def test_library_modules_have_no_unused_imports():
     unused = {m.name: _unused_imports(m.read_text()) for m in modules if m.name != "__init__.py"}
     assert len(unused) >= 8
     assert not {name: found for name, found in unused.items() if found}
+
+
+def test_records_with_array_fields_compare_and_hash_by_identity():
+    # A generated == compares the array fields and raises "truth value of an
+    # array is ambiguous"; hash() of an eq=True frozen record raises TypeError.
+    state = stabc.random_pure(3, 0)
+    pairs = [
+        (stabc.complexity_report(state), stabc.complexity_report(state)),
+        (stabc.known_fiducial(3), stabc.known_fiducial(3)),
+        (stabc.char_table(state), stabc.char_table(state)),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
+        # fields and replace keep working
+        copy = dataclasses.replace(a)
+        assert copy is not a and copy != a
+        assert [f.name for f in dataclasses.fields(copy)] == [f.name for f in dataclasses.fields(a)]

@@ -256,10 +256,12 @@ def test_sqrt_table_normalization_defect_is_a_fail_row(capsys, monkeypatch):
 
 
 def test_verify_unknown_suite_exits_2(capsys):
-    # argparse rejects unknown choices with SystemExit(2)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "definitely-not-a-suite"])
-    assert exc.value.code == 2
+    # run_suites is the one check of the suite name; it lists the suites
+    for argv in (["definitely-not-a-suite"], ["definitely-not-a-suite", "--d", "3"]):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == (f"error: unknown suite 'definitely-not-a-suite'; "
+                       f"choose from {', '.join(verify.SUITES)} or 'all'\n")
 
 
 def test_verify_seed_env_default(capsys, monkeypatch):

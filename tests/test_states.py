@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from stabc import (
     known_fiducial,
     random_pure,
     state_to_bloch,
+    tau_power,
     weyl_matrix,
 )
 from stabc.states import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -131,6 +133,22 @@ def test_closed_form_classes_are_mutually_unbiased(d):
     assert np.abs(overlaps - expected).max() <= 1e-12
 
 
+@pytest.mark.parametrize("d", PRIMES_TO_CAP)
+def test_stacked_enumeration_is_bitwise_the_pure_projectors(d):
+    # The closed-form vectors of StabilizerSet, each through DensityState.pure.
+    j = np.arange(d)
+    n = (-j)[:, None] % d
+    vectors = [*np.eye(d, dtype=complex)] + [
+        v for m in range(d) for v in tau_power(d, m * j * j + 2 * n * j) / np.sqrt(d)
+    ]
+    states = enumerate_stabilizer_states(d).states
+    assert len(states) == len(vectors)
+    for state, v in zip(states, vectors):
+        expected = DensityState.pure(v).rho
+        assert state.rho.tobytes() == expected.tobytes()
+        assert not state.rho.flags.writeable
+
+
 def test_stabilizer_duplicates_raise(monkeypatch):
     # Flat phases make every quadratic-phase vector the uniform vector, which
     # still sits at the floor, so only the distinctness check can catch it.
@@ -152,12 +170,22 @@ def test_stabilizer_certification_names_the_failing_class(monkeypatch):
 def test_import_does_not_load_scipy():
     # numpy.fft and numpy.random are not loaded by `import numpy`; keeping
     # them out keeps the import cost flat.  The samplers must not pull in
-    # numpy.ma either (np.unique does: ~14 ms and ~1.3 MB per process).
+    # numpy.ma either (np.unique does: ~14 ms and ~1.3 MB per process).  A
+    # fresh interpreter compiles every module it imports, so a command loads
+    # verify and stateio only when it runs a suite or reads or writes a file.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = ("import stabc, stabc.cli, sys; "
-            "assert not {'scipy', 'numpy.fft', 'numpy.random'} & set(sys.modules); "
-            "from stabc.verify import run_suites; run_suites(['bounds'], samples=3); "
-            "assert 'numpy.ma' not in sys.modules")
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import stabc, stabc.cli
+        assert not {'scipy', 'numpy.fft', 'numpy.random'} & set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert stabc.cli.main(['extremal', '--d', '3']) == 0
+            assert stabc.cli.main(['sweep', '--d', '3', '--steps', '5']) == 0
+        assert not {'stabc.verify', 'stabc.stateio'} & set(sys.modules)
+        from stabc.verify import run_suites
+        run_suites(['bounds'], samples=3)
+        assert 'numpy.ma' not in sys.modules
+    """)
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
