@@ -5,8 +5,9 @@ check suites), ``sweep`` (rho_p family sweep to CSV/JSON), ``extremal``
 (extremal-state summary for one dimension), ``sample`` (dump random states).
 
 Exit codes: 0 success, 1 at least one verification check failed, 2 input
-parsing or state validation failed, an option would be ignored, or the
-input is too large to serve (a MemoryError).  Only
+parsing or state validation failed, an option would be ignored, the input
+is too large to serve (a MemoryError), or an output path cannot be written
+(an OSError).  Only
 ``verify`` and ``sample`` draw random numbers and take ``--seed`` (default:
 the ``STABC_SEED`` environment variable, else 0).  Identical command lines
 with identical seeds produce byte-identical output.
@@ -176,11 +177,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_extremal(args) -> int:
     d = args.d
-    states = enumerate_stabilizer_states(d).states
+    projectors = enumerate_stabilizer_states(d).projectors
     c_values = []
-    for block in _blocks(len(states), d):
-        projectors = np.stack([states[i].rho for i in block])
-        c_values.append(_reports(projectors, _checked_sqrt_stack(projectors)).c_value)
+    for block in _blocks(len(projectors), d):
+        members = projectors[block.start:block.stop]
+        c_values.append(_reports(members, _checked_sqrt_stack(members)).c_value)
     c_values = np.concatenate(c_values)
     doc: dict = {
         "dim": d,
@@ -294,7 +295,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StateFileError, ValueError) as exc:
+    # OSError: an --out path that is a directory, under a file, or not writable
+    except (StateFileError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MemoryError as exc:

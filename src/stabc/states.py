@@ -94,15 +94,18 @@ def _is_prime(n: int) -> bool:
     return all(n % q for q in range(2, int(n**0.5) + 1))
 
 
-@dataclass(frozen=True)
+# eq=False: == and hash by identity, as DensityState; a generated == raises on array fields.
+@dataclass(frozen=True, eq=False)
 class StabilizerSet:
     """All pure stabilizer states of a prime dimension, grouped by generator.
 
-    The generator classes are (0, 1) followed by (1, m) for m = 0 .. d-1, and
-    states[i * dim + s] is the eigenstate of class i's generator with
+    ``projectors`` is one read-only (d (d + 1), d, d) stack of the states'
+    density matrices, each bitwise ``DensityState.pure`` of its vector.  The
+    generator classes are (0, 1) followed by (1, m) for m = 0 .. d-1, and
+    projectors[i * dim + s] is the eigenstate of class i's generator with
     eigenvalue omega^s, so each class is in ascending eigenvalue phase in
-    [0, 2 pi).  Class (0, 1) is the Z basis: states[s] = |s>.  Class (1, m)
-    holds the quadratic-phase vectors v[j] = tau^(m j^2 + 2 n j) / sqrt(d),
+    [0, 2 pi).  Class (0, 1) is the Z basis: projectors[s] = |s><s|.  Class
+    (1, m) holds the quadratic-phase vectors v[j] = tau^(m j^2 + 2 n j) / sqrt(d),
     whose D(1, m)-eigenvalue is tau^(-2n) = omega^(-n); state s is the one
     with n = -s mod d.  The order is fixed by these integer exponents, not
     by floating-point phases.
@@ -110,7 +113,7 @@ class StabilizerSet:
 
     dim: int
     generators: tuple[WeylIndex, ...]
-    states: tuple[DensityState, ...]
+    projectors: np.ndarray
 
 
 def enumerate_stabilizer_states(d: int) -> StabilizerSet:
@@ -137,7 +140,7 @@ def enumerate_stabilizer_states(d: int) -> StabilizerSet:
     # Normalized and projected as DensityState.pure does, bitwise, for all at once.
     vectors /= _hs_norms(vectors)[:, None]
     projectors = vectors[:, :, None] * vectors[:, None, :].conj()
-    states = [DensityState(rho, check=False) for rho in projectors]
+    projectors.setflags(write=False)
 
     # For projectors sqrt(rho) = rho, so the moment route needs no eigensolve.
     floor = d * d - d
@@ -150,13 +153,13 @@ def enumerate_stabilizer_states(d: int) -> StabilizerSet:
         )
 
     # ||P_i - P_j||^2 = ||P_i||^2 + ||P_j||^2 - 2 Re <P_i, P_j>, from one Gram matrix.
-    flat = projectors.reshape(len(states), -1)
+    flat = projectors.reshape(len(projectors), -1)
     gram = (flat.conj() @ flat.T).real
     norm_sq = np.diagonal(gram)
     dist_sq = norm_sq[:, None] + norm_sq[None, :] - 2.0 * gram
-    if not dist_sq[np.triu_indices(len(states), 1)].min() > 1e-6**2:
+    if not dist_sq[np.triu_indices(len(projectors), 1)].min() > 1e-6**2:
         raise ArithmeticError("stabilizer enumeration produced duplicate states")
-    return StabilizerSet(d, tuple(generators), tuple(states))
+    return StabilizerSet(d, tuple(generators), projectors)
 
 
 # eq=False: == and hash by identity, as DensityState; a generated == raises on array fields.

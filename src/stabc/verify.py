@@ -69,13 +69,13 @@ from .states import (
     known_fiducial,
 )
 from .weyl import (
+    _displacements,
     _product_law,
     clifford_conjugation_table,
     fourier_gate,
     tau_power,
     weyl_basis_check,
     weyl_coefficient_table,
-    weyl_matrix,
 )
 
 DEFAULT_DIMS = (2, 3, 4, 5)
@@ -109,9 +109,16 @@ def _sample_block(d: int, members: range, rng: np.random.Generator) -> np.ndarra
     return random_mixed_stack(d, [(1, min(2, d), d)[i % 3] for i in members], rng)
 
 
-def _per_member(n: int, d: int, evaluate) -> np.ndarray:
-    """One value per member of range(n): ``evaluate(members)`` on each block of :func:`_blocks`."""
-    return np.concatenate([evaluate(members) for members in _blocks(n, d)])
+def _block_max(n: int, d: int, evaluate):
+    """Running max of ``evaluate(members)``, (m,) or (rows, m), over the blocks of :func:`_blocks`.
+
+    One value per row; np.max and np.maximum keep a NaN, which fails its row.
+    """
+    worst = None
+    for members in _blocks(n, d):
+        block = np.max(evaluate(members), axis=-1)
+        worst = block if worst is None else np.maximum(worst, block)
+    return worst
 
 
 # -- suites -------------------------------------------------------------------
@@ -135,7 +142,7 @@ def suite_weyl(dims=None, seed=0) -> list[CheckResult]:
     for d in dims:
         if d > _WEYL_LAW_DIM_CAP:
             continue
-        ops = np.array([weyl_matrix(d, k, l) for k in range(d) for l in range(d)])  # [k d + l]
+        ops = _displacements(d, *np.divmod(np.arange(d * d), d))  # [k d + l]
         worst = []  # block maxima; np.max keeps a NaN residual, which fails the row
         ok = True
         for members in _blocks(d**4, d):
@@ -155,14 +162,15 @@ def suite_weyl(dims=None, seed=0) -> list[CheckResult]:
         rho = random_mixed(d, d, rng)
         base = complexity_by_moments(rho)
         phases = np.exp(2j * np.pi * rng.uniform(size=(d, d)))
-        # tr(D(k,l) S) from explicit operators, one shift k at a time in one
-        # reused buffer, so the row stays independent of weyl_coefficient_table.
-        ops = np.empty((d, d, d), dtype=complex)
+        # tr(D(k,l) S) from explicit operators, one shift k at a time, so the
+        # row stays independent of weyl_coefficient_table.
+        root = psd_sqrt(rho)
+        j = np.arange(d)
         table = np.empty((d, d), dtype=complex)
         for k in range(d):
-            for l in range(d):
-                ops[l] = weyl_matrix(d, k, l)
-            table[k] = np.einsum("lij,ji->l", ops, psd_sqrt(rho))
+            ops = _displacements(d, np.full(d, k), j)  # [l] = D(k, l)
+            table[k] = np.einsum("lij,ji->l", ops, root)
+            del ops  # freed before the next shift's stack is built
         table *= phases
         rephased = d * d - float(np.sum(np.abs(table) ** 4))
         # Both values are C ~ d^2, summed in different orders (np.sum here, the
@@ -192,10 +200,9 @@ def suite_charfun(dims=None, samples=None, seed=0) -> list[CheckResult]:
         results.append(_leq(f"charfun-parseval-d{d}", worst_parseval, 1e-9))
 
         # Unchecked tables: the checked kernel would raise before a defect could FAIL the row.
-        totals = _per_member(n, d, lambda members: _power_sums(weyl_coefficient_table(
-            _checked_sqrt_stack(_sample_block(d, members, rng))), 2))
-        results.append(_leq(f"charfun-sqrt-table-normalization-d{d}",
-                            np.abs(totals - d).max(), _SQRT_NORM_TOL))
+        defect = _block_max(n, d, lambda members: np.abs(_power_sums(weyl_coefficient_table(
+            _checked_sqrt_stack(_sample_block(d, members, rng))), 2) - d))
+        results.append(_leq(f"charfun-sqrt-table-normalization-d{d}", defect, _SQRT_NORM_TOL))
 
         pure = random_pure_stack(d, 20, rng)
         collapse = (_checked_tables(pure, SOURCE_STATE)
@@ -204,10 +211,13 @@ def suite_charfun(dims=None, samples=None, seed=0) -> list[CheckResult]:
 
         lo = (1 + (d - 1) / (d + 1)) ** 0.25
         hi = d**0.25
-        m4 = _per_member(500 if samples is None else n, d, lambda members: _lp_moments(
-            _checked_tables(random_pure_stack(d, len(members), rng), SOURCE_STATE), 4.0))
-        results.append(_leq(f"charfun-pure-moment4-bracket-d{d}",
-                            max(0.0, (lo - m4).max(), (m4 - hi).max()), 1e-9))
+
+        def bracket_defects(members):
+            m4 = _lp_moments(
+                _checked_tables(random_pure_stack(d, len(members), rng), SOURCE_STATE), 4.0)
+            return np.stack([lo - m4, m4 - hi])
+        below, above = _block_max(500 if samples is None else n, d, bracket_defects)
+        results.append(_leq(f"charfun-pure-moment4-bracket-d{d}", max(0.0, below, above), 1e-9))
     return results
 
 
@@ -222,7 +232,7 @@ def suite_tradeoff(dims=None, samples=None, seed=0) -> list[CheckResult]:
             rhos = _sample_block(d, members, rng)
             reports = _reports(rhos, _checked_sqrt_stack(rhos))
             return np.abs(reports.jordan + reports.lie - 2.0).max(axis=(1, 2))
-        results.append(_leq(f"tradeoff-sum-defect-d{d}", _per_member(n, d, defects).max(), 1e-10))
+        results.append(_leq(f"tradeoff-sum-defect-d{d}", _block_max(n, d, defects), 1e-10))
     return results
 
 
@@ -236,7 +246,7 @@ def suite_dual_path(dims=None, samples=None, seed=0) -> list[CheckResult]:
             roots = _checked_sqrt_stack(_sample_block(d, members, rng))
             jordan, lie = _definition_tables(roots)
             return np.abs(np.sum(jordan * lie, axis=(1, 2)) - _moment_complexities(roots))
-        results.append(_leq(f"dual-path-gap-d{d}", _per_member(n, d, gaps).max(),
+        results.append(_leq(f"dual-path-gap-d{d}", _block_max(n, d, gaps),
                             _PATH_GAP_TOL * d * d))
     return results
 
@@ -247,14 +257,19 @@ def suite_bounds(dims=None, samples=None, seed=0) -> list[CheckResult]:
     rng = _rng_for(seed, 5)
     results = []
     for d in dims:
-        # The pure ensemble, then the mixed one, each drawn and evaluated block by block.
-        c_pure, c_mixed = (_per_member(n, d, lambda m: batch_complexity(sampler(d, len(m), rng)))
-                           for sampler in (random_pure_stack, random_rank_mixed_stack))
         floor, ceil = pure_complexity_floor(d), complexity_upper_bound(d)
-        defects = {"pure-floor": floor - c_pure, "pure-ceiling": c_pure - ceil,
-                   "mixed-floor": -c_mixed, "mixed-ceiling": c_mixed - ceil}
-        results += [_leq(f"bounds-{name}-defect-d{d}", float(defect.max()), _BOUND_SLACK)
-                    for name, defect in defects.items()]
+
+        def pure_defects(members):
+            c = batch_complexity(random_pure_stack(d, len(members), rng))
+            return np.stack([floor - c, c - ceil])
+
+        def mixed_defects(members):
+            c = batch_complexity(random_rank_mixed_stack(d, len(members), rng))
+            return np.stack([-c, c - ceil])
+        # The pure ensemble, then the mixed one, each drawn and evaluated block by block.
+        defects = [*_block_max(n, d, pure_defects), *_block_max(n, d, mixed_defects)]
+        results += [_leq(f"bounds-{name}-defect-d{d}", defect, _BOUND_SLACK) for name, defect
+                    in zip(("pure-floor", "pure-ceiling", "mixed-floor", "mixed-ceiling"), defects)]
         results.append(
             _leq(f"bounds-maximally-mixed-zero-d{d}",
                  abs(complexity_by_moments(DensityState.maximally_mixed(d))), 1e-10)
@@ -279,7 +294,7 @@ def suite_clifford(dims=None, samples=None, seed=0) -> list[CheckResult]:
             c = _moment_complexities(_checked_sqrt_stack(rhos))
             return np.abs(c[:len(members)] - c[len(members):])
         results.append(_leq(f"clifford-invariance-gap-d{d}",
-                            _per_member(n, d, invariance_gaps).max(), 1e-9))
+                            _block_max(n, d, invariance_gaps), 1e-9))
 
         u = haar_unitary(d, rng)
         haar_table = clifford_conjugation_table(u)
@@ -311,7 +326,7 @@ def suite_complementarity(dims=None, samples=None, seed=0) -> list[CheckResult]:
             m4_fourth = _power_sums(_checked_tables(rhos, SOURCE_STATE), 4)
             return np.abs(m4_fourth + batch_complexity(rhos) - d * d)
         results.append(_leq(f"complementarity-pure-sum-defect-d{d}",
-                            _per_member(n, d, sum_defects).max(), _COMPLEMENTARITY_TOL))
+                            _block_max(n, d, sum_defects), _COMPLEMENTARITY_TOL))
     return results
 
 
@@ -330,7 +345,7 @@ def suite_qubit(dims=None, samples=None, seed=0) -> list[CheckResult]:
             bloch[row] = radius * direction
         c = _moment_complexities(_checked_sqrt_stack(_bloch_matrices(bloch)))
         return np.abs(c - _qubit_closed_forms(bloch))
-    return [_leq("qubit-closed-form-gap", _per_member(n, 2, gaps).max(), 1e-9)]
+    return [_leq("qubit-closed-form-gap", _block_max(n, 2, gaps), 1e-9)]
 
 
 def suite_rho_p(dims=None, seed=0) -> list[CheckResult]:
@@ -413,19 +428,18 @@ def suite_stabilizers(dims=None, samples=None, seed=0) -> list[CheckResult]:
     rng = _rng_for(seed, 10)
     results = []
     for d in dims:
-        group = enumerate_stabilizer_states(d)
-        count_ok = len(group.states) == d * (d + 1)
-        results.append(CheckResult(f"stabilizer-count-d{d}", float(len(group.states)), None,
+        projectors = enumerate_stabilizer_states(d).projectors
+        count_ok = len(projectors) == d * (d + 1)
+        results.append(CheckResult(f"stabilizer-count-d{d}", float(len(projectors)), None,
                                    count_ok, f"expected {d * (d + 1)}"))
         floor = pure_complexity_floor(d)
-        c = _moment_complexities(_checked_sqrt_stack(np.stack([s.rho for s in group.states])))
+        c = _moment_complexities(_checked_sqrt_stack(projectors))
         results.append(_leq(f"stabilizer-floor-attainment-d{d}", np.abs(c - floor).max(),
                             _EXTREMAL_TOL))
 
-        c = _per_member(samples or 300, d,
-                        lambda members: batch_complexity(random_pure_stack(d, len(members), rng)))
-        results.append(_leq(f"stabilizer-floor-not-undercut-d{d}", float((floor - c).max()),
-                            _BOUND_SLACK))
+        undercut = _block_max(samples or 300, d, lambda members: floor - batch_complexity(
+            random_pure_stack(d, len(members), rng)))
+        results.append(_leq(f"stabilizer-floor-not-undercut-d{d}", undercut, _BOUND_SLACK))
     return results
 
 
@@ -437,7 +451,7 @@ def suite_fiducials(dims=None, seed=0) -> list[CheckResult]:
         results.append(_leq(f"fiducial-overlap-deviation-d{d}", fid.max_deviation, 1e-10))
         # The fiducial, then its orbit D(k,l) P D(k,l)^dag, evaluated as one stack.
         proj = fid.projector().rho
-        ops = np.stack([weyl_matrix(d, k, l) for k in range(d) for l in range(d)])
+        ops = _displacements(d, *np.divmod(np.arange(d * d), d))
         c = _moment_complexities(_checked_sqrt_stack(
             np.concatenate([proj[None], ops @ proj @ ops.conj().swapaxes(1, 2)])))
         results.append(_leq(f"fiducial-ceiling-attainment-d{d}",

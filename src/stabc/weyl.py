@@ -97,10 +97,19 @@ def weyl_matrix(d: int, k: int, l: int) -> np.ndarray:
     k, l = _check_int(k, "k"), _check_int(l, "l")
     if not (0 <= k < d and 0 <= l < d):
         raise ValueError(f"index ({k}, {l}) out of range for dimension {d}")
+    return _displacements(d, np.array([k]), np.array([l]))[0]
+
+
+def _displacements(d: int, k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """Stack of D(k[i], l[i]) for equal-length integer index arrays of valid indices, unchecked.
+
+    :func:`weyl_matrix` is its checked one-row case, bitwise.
+    """
+    k, l = k[:, None], l[:, None]
     j = np.arange(d)
-    m = np.zeros((d, d), dtype=complex)
-    m[(j + k) % d, j] = tau_power(d, k * l + 2 * l * j)
-    return m
+    out = np.zeros((len(k), d, d), dtype=complex)
+    out[np.arange(len(k))[:, None], (j + k) % d, j] = tau_power(d, k * l + 2 * l * j)
+    return out
 
 
 def weyl_coefficient_table(a: np.ndarray) -> np.ndarray:
@@ -193,7 +202,7 @@ def weyl_product_phase(a: WeylIndex, b: WeylIndex) -> tuple[PhaseExponent, WeylI
 def weyl_basis_check(d: int) -> bool:
     """True iff tr(D(k,l) D(s,t)^dag) = d delta_ks delta_lt over all d^4 index pairs.
 
-    Checked one shift k at a time on the matrices :func:`weyl_matrix` writes.
+    Checked one shift k at a time on the stack :func:`_displacements` writes.
     Each D(k, l) must have its d nonzeros at rows (j + k) mod d of columns j
     and none elsewhere, so operators of different shifts have disjoint
     supports.  Within a shift the traces form the Gram matrix of the phase
@@ -202,13 +211,12 @@ def weyl_basis_check(d: int) -> bool:
     """
     d = check_dim(d)
     j = np.arange(d)
-    ops = np.empty((d, d, d), dtype=complex)  # [l] = D(k, l), refilled per shift
     for k in range(d):
-        for l in range(d):
-            ops[l] = weyl_matrix(d, k, l)
+        ops = _displacements(d, np.full(d, k), j)  # [l] = D(k, l)
         phases = ops[:, (j + k) % d, j]  # [l, j]
         if np.count_nonzero(ops) != d * d or np.count_nonzero(phases) != d * d:
             return False
+        del ops  # freed before the next shift's stack is built
         if not float(np.abs(phases @ phases.conj().T - d * np.eye(d)).max()) <= 1e-10 * d:
             return False
     return True

@@ -390,6 +390,22 @@ def test_memory_error_exits_2_on_one_line(capsys, monkeypatch, exc):
     assert err.startswith("error: input too large to serve: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["extremal", "--d", "3"], "."),                    # a directory
+    (["extremal"], "missing/x.json"),                   # under a missing directory
+    (["verify", "weyl", "--d", "3"], "file.txt/x"),     # under a regular file
+    (["sample", "--d", "2"], "file.txt"),               # a regular file as the output folder
+])
+def test_unwritable_out_path_exits_2_on_one_line(tmp_path, capsys, argv, target):
+    # These used to exit 1 with a traceback; exit 1 means a failed check only.
+    (tmp_path / "file.txt").write_text("kept\n")
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
+    assert (tmp_path / "file.txt").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("d", ["0", "1", "-3", "65"])
 def test_sweep_bad_dimension_exits_2(capsys, d):
     # d = 0 used to exit 1 with an IndexError traceback and d = -3 exit 2 with

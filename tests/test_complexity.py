@@ -280,7 +280,7 @@ def _report_stack(d):
     """
     rng = np.random.default_rng(d)
     near = np.diag([1 - 3e-9, 3e-9] + [0.0] * (d - 2)).astype(complex)
-    stabilizers = np.stack([s.rho for s in enumerate_stabilizer_states(d).states[::d]])
+    stabilizers = enumerate_stabilizer_states(d).projectors[::d]
     return np.concatenate([random_pure_stack(d, 3, rng), stabilizers,
                            random_mixed_stack(d, [d, d, 2], rng), near[None]])
 

@@ -136,7 +136,7 @@ def test_is_pure_accepts_pure_vectors(d):
 
 
 def test_is_pure_accepts_stabilizer_states_and_fiducials():
-    assert all(s.is_pure() for s in enumerate_stabilizer_states(5).states)
+    assert all(DensityState(p).is_pure() for p in enumerate_stabilizer_states(5).projectors)
     assert known_fiducial(2).projector().is_pure()
     assert known_fiducial(3).projector().is_pure()
 

@@ -72,7 +72,7 @@ def test_bloch_vector_rejects_non_finite(bad):
 @pytest.mark.parametrize("d,count", [(2, 6), (3, 12), (5, 30), (7, 56), (11, 132), (13, 182)])
 def test_stabilizer_enumeration_counts(d, count):
     group = enumerate_stabilizer_states(d)
-    assert len(group.states) == count
+    assert group.projectors.shape == (count, d, d)
     assert [(g.k, g.l) for g in group.generators] == [(0, 1)] + [(1, m) for m in range(d)]
 
 
@@ -83,26 +83,25 @@ def test_stabilizer_d2_matches_pauli_eigenvectors():
         _, vecs = np.linalg.eigh(sigma)
         expected.extend(np.outer(v, v.conj()) for v in vecs.T)
     for exp in expected:
-        assert any(hs_norm(exp - s.rho) <= 1e-10 for s in group.states)
+        assert any(hs_norm(exp - p) <= 1e-10 for p in group.projectors)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_stabilizer_extremality(d):
     group = enumerate_stabilizer_states(d)
     floor = d * d - d
-    for state in group.states:
-        assert abs(complexity_by_moments(state) - floor) <= 1e-9
+    for p in group.projectors:
+        assert abs(complexity_by_moments(DensityState(p, check=False)) - floor) <= 1e-9
     # no random pure state undercuts the floor
     for seed in range(200):
         assert complexity_by_moments(random_pure(d, seed)) >= floor - 1e-9
 
 
 def test_stabilizer_states_are_distinct():
-    group = enumerate_stabilizer_states(3)
-    states = group.states
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            assert hs_norm(states[i].rho - states[j].rho) > 1e-6
+    projectors = enumerate_stabilizer_states(3).projectors
+    for i in range(len(projectors)):
+        for j in range(i + 1, len(projectors)):
+            assert hs_norm(projectors[i] - projectors[j]) > 1e-6
 
 
 PRIMES_TO_CAP = [2, 3, 5, 7, 11, 13]
@@ -117,7 +116,7 @@ def test_closed_form_states_are_generator_eigenstates_in_phase_order(d):
     for i, gen in enumerate(group.generators):
         dkl = naive_weyl_matrix(d, gen.k, gen.l)
         for s in range(d):
-            proj = group.states[i * d + s].rho
+            proj = group.projectors[i * d + s]
             eigenvalue = np.exp(2j * np.pi * s / d)
             assert hs_norm(dkl @ proj - eigenvalue * proj) <= 1e-12
 
@@ -125,11 +124,12 @@ def test_closed_form_states_are_generator_eigenstates_in_phase_order(d):
 @pytest.mark.parametrize("d", PRIMES_TO_CAP)
 def test_closed_form_classes_are_mutually_unbiased(d):
     group = enumerate_stabilizer_states(d)
-    flat = np.stack([s.rho.reshape(-1) for s in group.states])
+    n = len(group.projectors)
+    flat = group.projectors.reshape(n, -1)
     overlaps = (flat.conj() @ flat.T).real  # tr(P_u P_v) = |<u|v>|^2
-    block = np.arange(len(group.states)) // d
+    block = np.arange(n) // d
     same_class = block[:, None] == block[None, :]
-    expected = np.where(same_class, np.eye(len(group.states)), 1.0 / d)
+    expected = np.where(same_class, np.eye(n), 1.0 / d)
     assert np.abs(overlaps - expected).max() <= 1e-12
 
 
@@ -141,12 +141,13 @@ def test_stacked_enumeration_is_bitwise_the_pure_projectors(d):
     vectors = [*np.eye(d, dtype=complex)] + [
         v for m in range(d) for v in tau_power(d, m * j * j + 2 * n * j) / np.sqrt(d)
     ]
-    states = enumerate_stabilizer_states(d).states
-    assert len(states) == len(vectors)
-    for state, v in zip(states, vectors):
+    projectors = enumerate_stabilizer_states(d).projectors
+    assert not projectors.flags.writeable
+    assert len(projectors) == len(vectors)
+    for rho, v in zip(projectors, vectors):
         expected = DensityState.pure(v).rho
-        assert state.rho.tobytes() == expected.tobytes()
-        assert not state.rho.flags.writeable
+        assert rho.tobytes() == expected.tobytes()
+        assert not rho.flags.writeable
 
 
 def test_stabilizer_duplicates_raise(monkeypatch):

@@ -196,8 +196,15 @@ def test_every_suite_passes_or_refuses_each_dimension(suite, d):
 
 
 def test_weyl_suite_builds_each_operator_once_per_row(monkeypatch):
-    calls = [0]
-    count_calls(monkeypatch, [weyl, verify], "weyl_matrix", calls)
+    built = [0]  # operators, summed over the rows of every stack built
+    kernel = weyl._displacements
+
+    def counted(d, k, l):
+        built[0] += len(k)
+        return kernel(d, k, l)
+
+    for module in (weyl, verify):
+        monkeypatch.setattr(module, "_displacements", counted)
     law = verify._product_law
     walked = {}
 
@@ -209,7 +216,7 @@ def test_weyl_suite_builds_each_operator_once_per_row(monkeypatch):
     dims = (2, 3, 4, 5, 7)
     rows = verify.suite_weyl(dims=dims)
     assert all(r.passed for r in rows), rows
-    assert calls[0] <= 3 * sum(d * d for d in dims)
+    assert built[0] <= 3 * sum(d * d for d in dims)
     # The product-law and exponent-law rows share one walk over the d^4
     # index quadruples: each quadruple exactly once, one stacked law call per
     # block of the block rule.
@@ -228,16 +235,15 @@ def test_weyl_suite_law_rows_hold_one_block_at_a_time():
 
 
 def test_weyl_product_law_row_fails_on_a_nan_operator(monkeypatch):
-    # The basis row reads weyl.weyl_matrix, so only the rows built from
+    # The basis row reads weyl._displacements, so only the rows built from
     # explicit operators see the defect; the exponent law reads no matrix.
-    writer = verify.weyl_matrix
+    writer = verify._displacements
 
     def damaged(d, k, l):
-        m = writer(d, k, l)
-        if (k, l) == (1, 1):
-            m[1, 0] = np.nan
-        return m
+        ops = writer(d, k, l)
+        ops[(k == 1) & (l == 1), 1, 0] = np.nan
+        return ops
 
-    monkeypatch.setattr(verify, "weyl_matrix", damaged)
+    monkeypatch.setattr(verify, "_displacements", damaged)
     failed = [r.check_id for r in verify.suite_weyl(dims=[3]) if not r.passed]
     assert failed == ["weyl-product-law-residual-d3", "weyl-phase-convention-independence-d3"]

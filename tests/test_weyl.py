@@ -24,6 +24,17 @@ from stabc.cli import main
 from stabc.states import SIGMA_Y
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 16])
+def test_displacement_stack_rows_are_bitwise_weyl_matrix(d):
+    # Every (k, l) in one stack, in an order that is not the [k d + l] one.
+    q = np.random.default_rng(d).permutation(d * d)
+    ops = weyl._displacements(d, q // d, q % d)
+    assert ops.shape == (d * d, d, d)
+    for row, (k, l) in zip(ops, zip(q // d, q % d)):
+        assert row.tobytes() == weyl_matrix(d, int(k), int(l)).tobytes()
+        assert np.allclose(row, naive_weyl_matrix(d, k, l), atol=1e-13)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_weyl_matrix_matches_naive_construction(d):
     for k in range(d):
@@ -186,15 +197,15 @@ def _nan_entry(m, d):
 
 @pytest.mark.parametrize("defect", [_wrong_phase, _stray_entry, _wrong_row, _nan_entry])
 def test_basis_check_sees_one_bad_entry(monkeypatch, capsys, defect):
-    writer = weyl.weyl_matrix
+    writer = weyl._displacements
 
     def damaged(d, k, l):
-        m = writer(d, k, l)
-        if (k, l) == (1, 1):
-            defect(m, d)
-        return m
+        ops = writer(d, k, l)
+        for row in np.flatnonzero((k == 1) & (l == 1)):
+            defect(ops[row], d)
+        return ops
 
-    monkeypatch.setattr(weyl, "weyl_matrix", damaged)
+    monkeypatch.setattr(weyl, "_displacements", damaged)
     for d in (2, 3, 4, 7):
         assert not weyl_basis_check(d)
     assert main(["verify", "weyl", "--d", "3"]) == 1
