@@ -6,8 +6,8 @@ check suites), ``sweep`` (rho_p family sweep to CSV/JSON), ``extremal``
 
 Exit codes: 0 success, 1 at least one verification check failed, 2 input
 parsing or state validation failed, an option would be ignored, the input
-is too large to serve (a MemoryError), or an output path cannot be written
-(an OSError).  Only
+is too large to serve (a MemoryError), or an ``--out`` path cannot be
+written.  Only
 ``verify`` and ``sample`` draw random numbers and take ``--seed`` (default:
 the ``STABC_SEED`` environment variable, else 0).  Identical command lines
 with identical seeds produce byte-identical output.
@@ -16,6 +16,7 @@ with identical seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -65,9 +66,19 @@ def _seed(args) -> int:
     return seed
 
 
+@contextlib.contextmanager
+def _writing(out: str):
+    """Re-raise an OSError from writing ``--out`` as a ValueError naming it (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {out}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        with _writing(out):
+            Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -231,9 +242,10 @@ def cmd_sample(args) -> int:
         docs = [density_state_dict(DensityState(rho, check=False)) for rho in rhos]
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, doc in enumerate(docs):
-            save_state(doc, out_dir / f"state-{i:04d}.json")
+        with _writing(args.out):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for i, doc in enumerate(docs):
+                save_state(doc, out_dir / f"state-{i:04d}.json")
         sys.stdout.write(f"wrote {len(docs)} state files to {out_dir}\n")
     else:
         sys.stdout.write(json.dumps(docs, indent=2) + "\n")
@@ -295,8 +307,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    # OSError: an --out path that is a directory, under a file, or not writable
-    except (StateFileError, ValueError, OSError) as exc:
+    except (StateFileError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MemoryError as exc:

@@ -9,6 +9,7 @@ reproducible regardless of which other suites ran.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
 
@@ -112,13 +113,10 @@ def _sample_block(d: int, members: range, rng: np.random.Generator) -> np.ndarra
 def _block_max(n: int, d: int, evaluate):
     """Running max of ``evaluate(members)``, (m,) or (rows, m), over the blocks of :func:`_blocks`.
 
-    One value per row; np.max and np.maximum keep a NaN, which fails its row.
+    One value per row, holding one block at a time; np.max and np.maximum keep
+    a NaN, which fails its row.
     """
-    worst = None
-    for members in _blocks(n, d):
-        block = np.max(evaluate(members), axis=-1)
-        worst = block if worst is None else np.maximum(worst, block)
-    return worst
+    return functools.reduce(np.maximum, (np.max(evaluate(m), axis=-1) for m in _blocks(n, d)))
 
 
 # -- suites -------------------------------------------------------------------
@@ -212,12 +210,13 @@ def suite_charfun(dims=None, samples=None, seed=0) -> list[CheckResult]:
         lo = (1 + (d - 1) / (d + 1)) ** 0.25
         hi = d**0.25
 
-        def bracket_defects(members):
+        def outside_bracket(members):  # distance of each m4 outside [lo, hi]; negative inside
             m4 = _lp_moments(
                 _checked_tables(random_pure_stack(d, len(members), rng), SOURCE_STATE), 4.0)
-            return np.stack([lo - m4, m4 - hi])
-        below, above = _block_max(500 if samples is None else n, d, bracket_defects)
-        results.append(_leq(f"charfun-pure-moment4-bracket-d{d}", max(0.0, below, above), 1e-9))
+            return np.maximum(lo - m4, m4 - hi)
+        outside = _block_max(500 if samples is None else n, d, outside_bracket)
+        # NaN first: max(0.0, nan) is 0.0 and would pass the row
+        results.append(_leq(f"charfun-pure-moment4-bracket-d{d}", max(outside, 0.0), 1e-9))
     return results
 
 
@@ -258,18 +257,15 @@ def suite_bounds(dims=None, samples=None, seed=0) -> list[CheckResult]:
     results = []
     for d in dims:
         floor, ceil = pure_complexity_floor(d), complexity_upper_bound(d)
-
-        def pure_defects(members):
-            c = batch_complexity(random_pure_stack(d, len(members), rng))
-            return np.stack([floor - c, c - ceil])
-
-        def mixed_defects(members):
-            c = batch_complexity(random_rank_mixed_stack(d, len(members), rng))
-            return np.stack([-c, c - ceil])
-        # The pure ensemble, then the mixed one, each drawn and evaluated block by block.
-        defects = [*_block_max(n, d, pure_defects), *_block_max(n, d, mixed_defects)]
-        results += [_leq(f"bounds-{name}-defect-d{d}", defect, _BOUND_SLACK) for name, defect
-                    in zip(("pure-floor", "pure-ceiling", "mixed-floor", "mixed-ceiling"), defects)]
+        # The pure ensemble, then the mixed one (floor 0), each drawn and evaluated block by block.
+        for kind, sampler, low in (("pure", random_pure_stack, floor),
+                                   ("mixed", random_rank_mixed_stack, 0.0)):
+            def defects(members):
+                c = batch_complexity(sampler(d, len(members), rng))
+                return np.stack([low - c, c - ceil])
+            below, above = _block_max(n, d, defects)
+            results += [_leq(f"bounds-{kind}-floor-defect-d{d}", below, _BOUND_SLACK),
+                        _leq(f"bounds-{kind}-ceiling-defect-d{d}", above, _BOUND_SLACK)]
         results.append(
             _leq(f"bounds-maximally-mixed-zero-d{d}",
                  abs(complexity_by_moments(DensityState.maximally_mixed(d))), 1e-10)

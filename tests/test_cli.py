@@ -1,5 +1,6 @@
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -401,9 +402,21 @@ def test_unwritable_out_path_exits_2_on_one_line(tmp_path, capsys, argv, target)
     (tmp_path / "file.txt").write_text("kept\n")
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / target))
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: cannot write --out {tmp_path / target}: ")
+    assert err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
     assert (tmp_path / "file.txt").read_text() == "kept\n"
+
+
+def test_stdout_error_is_not_an_input_error(monkeypatch):
+    # Only an --out path maps an OSError to exit 2; a closed pipe on stdout is not bad input.
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["extremal", "--d", "2"])
 
 
 @pytest.mark.parametrize("d", ["0", "1", "-3", "65"])

@@ -73,6 +73,22 @@ def test_report_suites_hold_one_block_at_a_time(suite):
     assert peak < (8 if suite is verify.suite_charfun else 6)
 
 
+def test_sampled_rows_keep_a_running_max_not_every_value():
+    # 200,000 samples at d = 2: holding every member's C and its four defect
+    # arrays peaked at 9.2 MiB traced; one block's arrays take about 1.2 MiB.
+    verify.suite_bounds(dims=[2], samples=1, seed=0)  # builds the per-d constants
+    rows, peak = traced_peak_mib(lambda: verify.suite_bounds(dims=[2], samples=200_000, seed=0))
+    assert rows and all(r.passed for r in rows), rows
+    assert peak < 2.5
+
+
+def test_moment4_bracket_row_fails_on_a_nan_moment(monkeypatch):
+    # max(0.0, nan) is 0.0, so the row once passed a NaN moment.
+    monkeypatch.setattr(verify, "_lp_moments", lambda tables, p: np.full(len(tables), np.nan))
+    failed = [r.check_id for r in verify.suite_charfun(dims=[2], samples=3) if not r.passed]
+    assert failed == ["charfun-pure-moment4-bracket-d2"]
+
+
 @pytest.mark.parametrize("suite", ["charfun", "tradeoff", "dual-path", "clifford",
                                    "complementarity", "qubit", "stabilizers", "bounds"])
 def test_sampled_rows_do_not_depend_on_block_size(monkeypatch, suite):
