@@ -30,7 +30,6 @@ from .charfun import (
 from .complexity import (
     _RHO_P_CLOSED_FORM_TOL,
     RhoPFamily,
-    _blocks,
     _reports,
     _rho_p_closed_form,
     _rho_p_stack,
@@ -41,6 +40,7 @@ from .complexity import (
 from .errors import NoKnownFiducialError, StateFileError
 from .matcore import (
     DensityState,
+    _blocks,
     _checked_sqrt_stack,
     check_dim,
     random_mixed_stack,

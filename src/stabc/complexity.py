@@ -24,7 +24,6 @@ states confined to [d^2 - d, d^2 - 2d/(d+1)].
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isnan
@@ -39,6 +38,7 @@ from .matcore import (
     SQRT_RANK_RCOND,
     DensityState,
     _batch_psd_sqrt,
+    _blocks,
     _check_count,
     _hs_norms,
     _power_sums,
@@ -454,8 +454,6 @@ class ConvexityViolation:
 
 _WITNESS_INDEX = -1
 _CONVEXITY_TOL = 1e-9
-# Matrix entries per block of any stacked evaluation (see _blocks): 4,096 qubit states.
-_BLOCK_ENTRIES = 2**14
 
 
 def convexity_witness_states(d: int) -> tuple[DensityState, DensityState, float]:
@@ -467,16 +465,6 @@ def convexity_witness_states(d: int) -> tuple[DensityState, DensityState, float]
     psi = DensityState.pure(np.eye(check_dim(d), dtype=complex)[:, 0])
     mixed, pure = (DensityState(rho, check=False) for rho in _rho_p_stack(psi, [0.9, 1.0]))
     return mixed, pure, 0.5
-
-
-def _blocks(n: int, d: int) -> Iterator[range]:
-    """The one block rule: range(n) cut into blocks of max(1, _BLOCK_ENTRIES // d^2) members.
-
-    The blocks are made as they are taken, so a huge n costs nothing up
-    front; a caller that goes over them twice calls this twice.
-    """
-    size = max(1, _BLOCK_ENTRIES // (d * d))
-    return (range(first, min(first + size, n)) for first in range(0, n, size))
 
 
 def convexity_scan(d: int, samples: int, seed) -> list[ConvexityViolation]:

@@ -7,6 +7,7 @@ All routines target dense double precision at desk scale; dimensions above
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import prod
 
 import numpy as np
@@ -15,6 +16,8 @@ from .errors import DimensionMismatchError, NegativeEigenvalueError, NotHermitia
 
 # Hard dimension cap: every algorithm here is O(d^3)-O(d^4) dense.
 DIM_CAP = 64
+# Matrix entries per block of any stacked evaluation (see _blocks): 4,096 qubit states.
+_BLOCK_ENTRIES = 2**14
 
 # Tolerances.  Matrix-norm checks scale with dimension, scalar trace checks
 # are absolute.
@@ -52,6 +55,16 @@ def check_dim(d: int) -> int:
     if d > DIM_CAP:
         raise ValueError(f"dimension {d} exceeds the dense cap {DIM_CAP}")
     return d
+
+
+def _blocks(n: int, d: int) -> Iterator[range]:
+    """The one block rule: range(n) cut into blocks of max(1, _BLOCK_ENTRIES // d^2) members.
+
+    The blocks are made as they are taken, so a huge n costs nothing up
+    front; a caller that goes over them twice calls this twice.
+    """
+    size = max(1, _BLOCK_ENTRIES // (d * d))
+    return (range(first, min(first + size, n)) for first in range(0, n, size))
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:

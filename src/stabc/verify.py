@@ -31,7 +31,6 @@ from .complexity import (
     _PATH_GAP_TOL,
     _RHO_P_CLOSED_FORM_TOL,
     RhoPFamily,
-    _blocks,
     _definition_tables,
     _qubit_closed_forms,
     _reports,
@@ -49,6 +48,7 @@ from .complexity import (
 )
 from .matcore import (
     DensityState,
+    _blocks,
     _check_int,
     _checked_sqrt_stack,
     _hs_norms,
@@ -141,18 +141,18 @@ def suite_weyl(dims=None, seed=0) -> list[CheckResult]:
         if d > _WEYL_LAW_DIM_CAP:
             continue
         ops = _displacements(d, *np.divmod(np.arange(d * d), d))  # [k d + l]
-        worst = []  # block maxima; np.max keeps a NaN residual, which fails the row
-        ok = True
-        for members in _blocks(d**4, d):
+
+        def defects(members):  # product-law residual norms; 1 where an unreduced exponent is off
             q = np.arange(members.start, members.stop)
             k1, l1, k2, l2 = q // d**3, q // d**2 % d, q // d % d, q % d
             e, k, l = _product_law(d, k1, l1, k2, l2)
             resid = ops[q // d**2] @ ops[q % d**2]
             resid -= tau_power(d, e)[:, None, None] * ops[k * d + l]
-            worst.append(_hs_norms(resid).max())
             unreduced = (k1 + k2 < d) & (l1 + l2 < d)
-            ok = ok and bool(np.all(e[unreduced] == ((l1 * k2 - k1 * l2) % (2 * d))[unreduced]))
-        results.append(_leq(f"weyl-product-law-residual-d{d}", np.max(worst), 1e-12 * d))
+            return np.stack([_hs_norms(resid), unreduced & (e != (l1 * k2 - k1 * l2) % (2 * d))])
+        residual, off = _block_max(d**4, d, defects)
+        results.append(_leq(f"weyl-product-law-residual-d{d}", residual, 1e-12 * d))
+        ok = bool(off == 0)
         exponent_rows.append(CheckResult(f"weyl-unreduced-exponent-law-d{d}", 1.0 if ok else 0.0,
                                          None, ok, "1 = exponent matches ls-kt"))
     results += exponent_rows
@@ -160,16 +160,12 @@ def suite_weyl(dims=None, seed=0) -> list[CheckResult]:
         rho = random_mixed(d, d, rng)
         base = complexity_by_moments(rho)
         phases = np.exp(2j * np.pi * rng.uniform(size=(d, d)))
-        # tr(D(k,l) S) from explicit operators, one shift k at a time, so the
+        # tr(D(k,l) S) from explicit operators, one block at a time, so the
         # row stays independent of weyl_coefficient_table.
         root = psd_sqrt(rho)
-        j = np.arange(d)
-        table = np.empty((d, d), dtype=complex)
-        for k in range(d):
-            ops = _displacements(d, np.full(d, k), j)  # [l] = D(k, l)
-            table[k] = np.einsum("lij,ji->l", ops, root)
-            del ops  # freed before the next shift's stack is built
-        table *= phases
+        table = np.concatenate([
+            np.einsum("nij,ji->n", _displacements(d, *np.divmod(np.arange(b.start, b.stop), d)),
+                      root) for b in _blocks(d * d, d)]).reshape(d, d) * phases
         rephased = d * d - float(np.sum(np.abs(table) ** 4))
         # Both values are C ~ d^2, summed in different orders (np.sum here, the
         # kernel's einsum there), so rounding scales with d^2 (1.8e-12 at d = 64).
@@ -184,18 +180,16 @@ def suite_charfun(dims=None, samples=None, seed=0) -> list[CheckResult]:
     rng = _rng_for(seed, 2)
     results = []
     for d in dims:
-        worst_rt = 0.0
-        for _ in range(8):
-            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            worst_rt = max(worst_rt, hs_norm(reconstruct(char_table(a)) - a))
-        results.append(_leq(f"charfun-roundtrip-d{d}", worst_rt, 1e-10 * d))
+        def draws():  # 8 complex Gaussian matrices, drawn as they are taken
+            return (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(8))
 
-        worst_parseval = 0.0
-        for _ in range(8):
-            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            total = float(np.sum(np.abs(char_table(a).values) ** 2))
-            worst_parseval = max(worst_parseval, abs(total - d * float(np.vdot(a, a).real)))
-        results.append(_leq(f"charfun-parseval-d{d}", worst_parseval, 1e-9))
+        # np.max keeps a NaN, which fails its row; Python's max drops one that
+        # is not its first argument.
+        roundtrip = np.max([hs_norm(reconstruct(char_table(a)) - a) for a in draws()])
+        results.append(_leq(f"charfun-roundtrip-d{d}", roundtrip, 1e-10 * d))
+        parseval = np.max([abs(float(np.sum(np.abs(char_table(a).values) ** 2))
+                               - d * float(np.vdot(a, a).real)) for a in draws()])
+        results.append(_leq(f"charfun-parseval-d{d}", parseval, 1e-9))
 
         # Unchecked tables: the checked kernel would raise before a defect could FAIL the row.
         defect = _block_max(n, d, lambda members: np.abs(_power_sums(weyl_coefficient_table(
@@ -298,14 +292,15 @@ def suite_clifford(dims=None, samples=None, seed=0) -> list[CheckResult]:
             f"clifford-haar-rejected-d{d}", 0.0 if haar_table is None else 1.0,
             None, haar_table is None, "0 = Haar unitary not Clifford"))
 
-        gap = 0.0
+        gaps = []
         for _ in range(16):
             state = random_pure(d, rng)
             u = haar_unitary(d, rng)
             rotated = DensityState(u @ state.rho @ u.conj().T, check=False)
-            gap = max(gap, abs(complexity_by_moments(rotated) - complexity_by_moments(state)))
-            if gap > 1e-3:
+            gaps.append(abs(complexity_by_moments(rotated) - complexity_by_moments(state)))
+            if gaps[-1] > 1e-3:
                 break
+        gap = float(np.max(gaps))  # keeps a NaN, which fails the row
         results.append(CheckResult(f"clifford-generic-unitary-moves-value-d{d}", gap, None,
                                    gap > 1e-3, "invariance is Clifford-specific (gap > 1e-3)"))
     return results
@@ -388,7 +383,7 @@ def suite_rho_p(dims=None, seed=0) -> list[CheckResult]:
             r_half = rho_p_expansion_residual(fam, eps / 2) - c2 * (eps / 2) ** 2
             ratios.append(r_big / r_half)
             eps /= 2
-        worst_ratio = max(abs(r - target) for r in ratios)
+        worst_ratio = np.max(np.abs(np.array(ratios) - target))  # keeps a NaN ratio
         results.append(_leq(f"mixing-family-expansion-quadratic-d{d}", worst_ratio, 1.0,
                             f"halving ratios {['%.3f' % r for r in ratios]}"))
 

@@ -18,8 +18,11 @@ collapses to the familiar l s - k t; the extra term is the reduction
 correction, which matters for even d where tau^d = -1.
 
 Each D(k, l) has one nonzero per column, at row (j + k) mod d.  Coefficient
-tables read that support directly and the basis check walks it one shift k
-at a time, so nothing here holds all d^2 operators at once.
+tables read that support directly.  Operator stacks come from one kernel,
+:func:`_displacements`; the basis check walks them one shift k at a time
+(its Gram test needs whole shifts) and the Clifford conjugation table one
+block of the block rule (:func:`~stabc.matcore._blocks`) at a time, so
+nothing here holds all d^2 operators at once.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatchError, NotUnitaryError
-from .matcore import _as_square, _check_int, check_dim, hs_norm
+from .matcore import _as_square, _blocks, _check_int, check_dim, hs_norm
 
 UNITARY_TOL = 1e-10
 # Overlap modulus within this (times d) of d detects proportionality to a
@@ -233,16 +236,6 @@ def fourier_gate(d: int) -> np.ndarray:
     return _table_constants(d)[1] / np.sqrt(d)
 
 
-def _snap_phase(d: int, measured: complex) -> PhaseExponent | None:
-    """Nearest tau^e to a measured unimodular phase; None if nothing is close."""
-    candidates = tau_power(d, np.arange(2 * d))
-    dist = np.abs(candidates - measured)
-    e = int(np.argmin(dist))
-    if dist[e] > _PHASE_SNAP_TOL:
-        return None
-    return PhaseExponent(e, d)
-
-
 def clifford_conjugation_table(
     u: np.ndarray,
 ) -> dict[tuple[int, int], tuple[PhaseExponent, WeylIndex]] | None:
@@ -252,7 +245,9 @@ def clifford_conjugation_table(
     basis.  If every image is proportional to a single displacement operator
     (overlap modulus d within tolerance, phase on the tau lattice) the full
     permutation-with-phase table is returned; otherwise None, meaning u does
-    not normalize the displacement group.
+    not normalize the displacement group.  The images are taken one block of
+    :func:`~stabc.matcore._blocks` at a time: one operator stack, one stacked
+    coefficient table, and the hit test and phase snap as vectors.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -265,18 +260,23 @@ def clifford_conjugation_table(
         raise NotUnitaryError(f"unitarity defect {defect:.3e} exceeds {UNITARY_TOL * d:.3e}")
 
     udag = u.conj().T
+    candidates = tau_power(d, np.arange(2 * d))
     table: dict[tuple[int, int], tuple[PhaseExponent, WeylIndex]] = {}
-    for k in range(d):
-        for l in range(d):
-            image = u @ weyl_matrix(d, k, l) @ udag
-            # tr(D(s,t)^dag image) = conj(tr(D(s,t) image^dag))
-            overlaps = np.conjugate(weyl_coefficient_table(image.conj().T))
-            hits = np.argwhere(np.abs(np.abs(overlaps) - d) <= CLIFFORD_OVERLAP_TOL * d)
-            if len(hits) != 1:
-                return None
-            s, t = (int(hits[0][0]), int(hits[0][1]))
-            phase = _snap_phase(d, overlaps[s, t] / d)
-            if phase is None:
-                return None
-            table[(k, l)] = (phase, WeylIndex(s, t, d))
+    for block in _blocks(d * d, d):
+        k, l = np.divmod(np.arange(block.start, block.stop), d)
+        rows = np.arange(len(k))
+        # tr(D(s,t)^dag image) = conj(tr(D(s,t) image^dag)), image^dag = u D(k,l)^dag u^dag
+        adjoints = u @ _displacements(d, k, l).conj().swapaxes(1, 2) @ udag
+        overlaps = np.conjugate(weyl_coefficient_table(adjoints)).reshape(len(k), d * d)
+        hits = np.abs(np.abs(overlaps) - d) <= CLIFFORD_OVERLAP_TOL * d
+        if not np.all(np.count_nonzero(hits, axis=1) == 1):
+            return None
+        st = hits.argmax(axis=1)  # s d + t of each image's one hit
+        dist = np.abs(candidates - overlaps[rows, st][:, None] / d)
+        e = dist.argmin(axis=1)
+        if not np.all(dist[rows, e] <= _PHASE_SNAP_TOL):
+            return None
+        for key, exponent, s, t in zip(zip(k.tolist(), l.tolist()), e.tolist(),
+                                       (st // d).tolist(), (st % d).tolist()):
+            table[key] = (PhaseExponent(exponent, d), WeylIndex(s, t, d))
     return table

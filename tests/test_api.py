@@ -42,6 +42,19 @@ def _fourth_powers(module) -> set[str]:
     return found
 
 
+def _weyl_matrix_callers() -> set[str]:
+    """Functions of the package's modules, weyl_matrix itself aside, that call weyl_matrix."""
+    found = set()
+    for path in Path(stabc.__file__).parent.glob("*.py"):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef) and func.name != "weyl_matrix":
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and "weyl_matrix" in (
+                            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                        found.add(f"{path.stem}.{func.name}")
+    return found
+
+
 def test_second_implementations_are_gone():
     # One rank-r Ginibre sampler and one pure-state rule.
     assert not hasattr(matcore, "_ginibre_density_batch")
@@ -72,6 +85,12 @@ def test_second_implementations_are_gone():
     # root weights, and the explicit-operator row that checks the table kernel.
     assert set().union(*map(_fourth_powers, (complexity, states, verify))) == {
         "complexity._qubit_closed_forms", "complexity._rho_p_closed_form", "verify.suite_weyl"}
+    # One block rule, in matcore, under every operator walk: the Clifford table
+    # takes blocks of operators, not one weyl_matrix call and one phase snap each.
+    assert not hasattr(weyl, "_snap_phase")
+    assert not hasattr(complexity, "_BLOCK_ENTRIES")
+    assert complexity._blocks is matcore._blocks
+    assert _weyl_matrix_callers() == set()
 
 
 def test_ginibre_layout_is_private_to_matcore():

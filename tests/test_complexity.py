@@ -44,11 +44,12 @@ from stabc import (
     rho_p_state,
     weyl_matrix,
 )
-from stabc import complexity
-from stabc.complexity import _blocks, _definition_tables, _moment_complexities, _reports
+from stabc import complexity, matcore
+from stabc.complexity import _definition_tables, _moment_complexities, _reports
 from stabc.matcore import (
     HERMITIAN_TOL,
     _batch_psd_sqrt,
+    _blocks,
     _checked_sqrt_stack,
     _pure_members,
     random_mixed_stack,
@@ -889,7 +890,7 @@ def test_batch_complexity_does_not_depend_on_the_block_size(monkeypatch, d):
     # members with the rule cut down to 5 members.
     rhos = random_mixed_stack(d, (np.arange(23) % d) + 1, np.random.default_rng(d))
     default = batch_complexity(rhos)
-    monkeypatch.setattr(complexity, "_BLOCK_ENTRIES", 5 * d * d)
+    monkeypatch.setattr(matcore, "_BLOCK_ENTRIES", 5 * d * d)
     roots = [0]
     count_calls(monkeypatch, [complexity], "_batch_psd_sqrt", roots)
     assert np.array_equal(batch_complexity(rhos), default)
@@ -907,7 +908,7 @@ def test_batch_complexity_holds_one_block_at_a_time():
 
 def _three_block_stack(monkeypatch, d):
     # Ten maximally mixed members in blocks of 4, 4 and 2.
-    monkeypatch.setattr(complexity, "_BLOCK_ENTRIES", 4 * d * d)
+    monkeypatch.setattr(matcore, "_BLOCK_ENTRIES", 4 * d * d)
     return np.stack([np.eye(d, dtype=complex) / d] * 10)
 
 

@@ -18,8 +18,8 @@ from stabc import (
     random_mixed,
     random_pure,
 )
-from stabc.complexity import _BLOCK_ENTRIES
 from stabc.matcore import (
+    _BLOCK_ENTRIES,
     SQRT_RANK_RCOND,
     _batch_psd_sqrt,
     _power_sums,

@@ -89,6 +89,52 @@ def test_moment4_bracket_row_fails_on_a_nan_moment(monkeypatch):
     assert failed == ["charfun-pure-moment4-bracket-d2"]
 
 
+def _nan_at_call(function, call):
+    """``function``, but its ``call``-th call (from 1) returns NaN in the shape of its value."""
+    calls = [0]
+
+    def planted(*args, **kwargs):
+        calls[0] += 1
+        value = function(*args, **kwargs)
+        return np.full_like(value, np.nan) if calls[0] == call else value
+    return planted
+
+
+def test_charfun_roundtrip_row_fails_on_a_nan_residual(monkeypatch):
+    # The second of 8 round trips: Python's max(0.0 or a residual, nan) dropped it.
+    monkeypatch.setattr(verify, "reconstruct", _nan_at_call(verify.reconstruct, 2))
+    failed = [r.check_id for r in verify.suite_charfun(dims=[2], samples=3) if not r.passed]
+    assert failed == ["charfun-roundtrip-d2"]
+
+
+def test_charfun_parseval_row_fails_on_a_nan_table(monkeypatch):
+    # Calls 1-8 are the round trips; call 10 takes the second Parseval table of a NaN matrix.
+    planted = _nan_at_call(lambda a: a, 10)
+    monkeypatch.setattr(verify, "char_table", lambda a: charfun.char_table(planted(a)))
+    failed = [r.check_id for r in verify.suite_charfun(dims=[2], samples=3) if not r.passed]
+    assert failed == ["charfun-parseval-d2"]
+
+
+def test_rho_p_expansion_row_fails_on_a_nan_ratio(monkeypatch):
+    # The first two halving ratios are finite, the later ones NaN.
+    residual = verify.rho_p_expansion_residual
+    monkeypatch.setattr(verify, "rho_p_expansion_residual",
+                        lambda fam, eps: residual(fam, eps) if eps > 2e-3 else np.nan)
+    failed = [r.check_id for r in verify.suite_rho_p(dims=[2]) if not r.passed]
+    assert failed == ["mixing-family-expansion-quadratic-d2"]
+
+
+def test_clifford_generic_unitary_row_fails_on_a_nan_gap(monkeypatch):
+    # The first draw's C is NaN and the second draw moves the value past
+    # 1e-3: the loop goes on as before and stops there, but the row fails.
+    monkeypatch.setattr(verify, "complexity_by_moments",
+                        _nan_at_call(verify.complexity_by_moments, 1))
+    rows = verify.suite_clifford(dims=[2], samples=3)
+    failed = [r for r in rows if not r.passed]
+    assert [r.check_id for r in failed] == ["clifford-generic-unitary-moves-value-d2"]
+    assert np.isnan(failed[0].observed)
+
+
 @pytest.mark.parametrize("suite", ["charfun", "tradeoff", "dual-path", "clifford",
                                    "complementarity", "qubit", "stabilizers", "bounds"])
 def test_sampled_rows_do_not_depend_on_block_size(monkeypatch, suite):
@@ -106,8 +152,8 @@ def test_sampled_rows_do_not_depend_on_block_size(monkeypatch, suite):
                 if not r.check_id.startswith("bounds-mixed")}
 
     default = observed()
-    monkeypatch.setattr(complexity, "_BLOCK_ENTRIES", 64)
-    assert len(list(verify._blocks(40, 5))) == 20
+    monkeypatch.setattr(matcore, "_BLOCK_ENTRIES", 64)
+    assert len(list(matcore._blocks(40, 5))) == 20
     assert observed() == default
 
 
@@ -238,7 +284,7 @@ def test_weyl_suite_builds_each_operator_once_per_row(monkeypatch):
     # block of the block rule.
     assert sorted(walked) == list(dims)
     for d, blocks in walked.items():
-        assert len(blocks) == len(list(complexity._blocks(d**4, d)))
+        assert len(blocks) == len(list(matcore._blocks(d**4, d)))
         assert np.array_equal(np.concatenate(blocks), np.arange(d**4))
 
 

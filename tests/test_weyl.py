@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import naive_weyl_matrix, traced_peak_mib
+from helpers import naive_weyl_matrix, naive_weyl_stack, traced_peak_mib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +19,7 @@ from stabc import (
     weyl_matrix,
     weyl_product_phase,
 )
-from stabc import verify, weyl
+from stabc import matcore, verify, weyl
 from stabc.cli import main
 from stabc.states import SIGMA_Y
 
@@ -293,6 +293,71 @@ def test_haar_unitary_is_not_clifford():
     u = haar_unitary(3, 2024)
     assert hs_norm(u.conj().T @ u - np.eye(3)) <= 1e-12
     assert clifford_conjugation_table(u) is None
+
+
+def _phase_gate(d):
+    # P = diag(tau^(j^2)), from the explicit tau.
+    return np.diag((-np.exp(1j * np.pi / d)) ** (np.arange(d) ** 2))
+
+
+def _reference_conjugation_table(u):
+    # One operator at a time from explicit matrix powers: conjugate, project onto
+    # every D(s, t) by tr(D(s,t)^dag image), take the one overlap of modulus d
+    # and the least e with tau^e at its phase (tau^d = 1 at odd d, so e and
+    # e + d are both nearest there).
+    d = u.shape[0]
+    basis = naive_weyl_stack(d).reshape(d * d, d, d)
+    lattice = (-np.exp(1j * np.pi / d)) ** np.arange(2 * d)
+    table = {}
+    for k in range(d):
+        for l in range(d):
+            image = u @ naive_weyl_matrix(d, k, l) @ u.conj().T
+            overlaps = np.einsum("nij,ij->n", basis.conj(), image)
+            (hit,) = np.flatnonzero(np.abs(np.abs(overlaps) - d) <= 1e-8 * d)
+            e = int(np.flatnonzero(np.abs(lattice - overlaps[hit] / d) <= 1e-6)[0])
+            table[(k, l)] = (e, divmod(int(hit), d))
+    return table
+
+
+def _plain(table):
+    return {key: (phase.exponent, (index.k, index.l)) for key, (phase, index) in table.items()}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 7, 16])
+@pytest.mark.parametrize("gate", ["fourier", "phase", "identity"])
+def test_conjugation_table_matches_per_operator_reference(d, gate):
+    u = {"fourier": fourier_gate, "phase": _phase_gate,
+         "identity": lambda d: np.eye(d, dtype=complex)}[gate](d)
+    table = clifford_conjugation_table(u)
+    assert table is not None
+    assert list(table) == [(k, l) for k in range(d) for l in range(d)]
+    assert _plain(table) == _reference_conjugation_table(u)
+    for (phase, index) in table.values():
+        assert type(phase.exponent) is int and phase.dim == d
+        assert type(index.k) is int and type(index.l) is int and index.dim == d
+
+
+@pytest.mark.parametrize("d", [2, 5, 16])
+def test_conjugation_table_does_not_depend_on_block_size(monkeypatch, d):
+    # One operator per block, then every operator in one block.
+    u = _phase_gate(d) @ fourier_gate(d)
+    default = clifford_conjugation_table(u)
+    assert default is not None
+    for entries in (d * d, 2**20):
+        monkeypatch.setattr(matcore, "_BLOCK_ENTRIES", entries)
+        table = clifford_conjugation_table(u)
+        assert table == default and list(table) == list(default)
+
+
+def test_haar_unitary_is_not_clifford_at_the_cap():
+    # d = 64: 1,024 blocks of 4 operators; the first block already has no hit.
+    assert clifford_conjugation_table(haar_unitary(64, 2024)) is None
+
+
+def test_conjugation_table_refuses_a_phase_off_the_lattice(monkeypatch):
+    # Every image of F hits one operator; a negative tolerance rejects every snapped phase.
+    monkeypatch.setattr(weyl, "_PHASE_SNAP_TOL", -1.0)
+    assert clifford_conjugation_table(fourier_gate(3)) is None
 
 
 def test_conjugation_rejects_non_unitary():
