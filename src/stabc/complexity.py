@@ -485,7 +485,8 @@ def convexity_scan(d: int, samples: int, seed) -> list[ConvexityViolation]:
     samples = _check_count(samples, "samples")
     rng = np.random.default_rng(seed)
     rho_a, rho_b, lam = convexity_witness_states(d)
-    violations = _scan_block(_WITNESS_INDEX, rho_a.rho[None], rho_b.rho[None], np.array([lam]))
+    violations = _scan_block(_WITNESS_INDEX, rho_a.rho[None].copy(), rho_b.rho[None].copy(),
+                             np.array([lam]))
     for block in _blocks(samples, d):
         rho_a, rho_b = (random_rank_mixed_stack(d, len(block), rng) for _ in range(2))
         violations += _scan_block(block.start, rho_a, rho_b, rng.uniform(size=len(block)))
@@ -502,11 +503,16 @@ def _scan_block(
     combinations of them, so all are Hermitian and finite: each stack, one
     :func:`_blocks` block, goes straight to the root and moment kernels,
     bitwise what :func:`batch_complexity` gives without its input check.
+    The mixtures are formed in the buffers of ``rho_a`` and ``rho_b``, which
+    must be writable and are overwritten, after both states' complexities;
+    the in-place steps are those of the plain expression, so bitwise its values.
     """
     w = lam[:, None, None]
-    c_mix = _moment_complexities(_batch_psd_sqrt(w * rho_a + (1 - w) * rho_b))
     c_avg = (lam * _moment_complexities(_batch_psd_sqrt(rho_a))
              + (1 - lam) * _moment_complexities(_batch_psd_sqrt(rho_b)))
+    mixtures = np.add(np.multiply(w, rho_a, out=rho_a), np.multiply(1 - w, rho_b, out=rho_b),
+                      out=rho_a)
+    c_mix = _moment_complexities(_batch_psd_sqrt(mixtures))
     return [ConvexityViolation(first + int(i), float(lam[i]), float(c_mix[i]), float(c_avg[i]))
             for i in np.flatnonzero(c_mix > c_avg + _CONVEXITY_TOL)]
 

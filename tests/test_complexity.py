@@ -19,6 +19,7 @@ from stabc import (
     batch_complexity,
     bloch_to_state,
     BlochVector,
+    ConvexityViolation,
     complexity_by_definition,
     complexity_by_moments,
     complexity_report,
@@ -54,6 +55,7 @@ from stabc.matcore import (
     _pure_members,
     random_mixed_stack,
     random_pure_stack,
+    random_rank_mixed_stack,
 )
 
 T_STATE = bloch_to_state(BlochVector(*(np.ones(3) / np.sqrt(3))))
@@ -630,6 +632,39 @@ def test_convexity_scan_matches_one_state_at_a_time(monkeypatch, d, samples):
         assert v.lam == lam
         assert abs(v.c_mixture - c_mix) <= 1e-12 * d * d
         assert abs(v.c_average - c_avg) <= 1e-12 * d * d
+
+
+def test_convexity_scan_leaves_the_witness_states_alone(monkeypatch):
+    # The scan mixes in the buffers of its draws; the witness's arrays are
+    # read-only, so it mixes writable copies of them.
+    states = convexity_witness_states(3)
+    before = [state.rho.copy() for state in states[:2]]
+    expected = convexity_scan(3, 50, 4)
+    monkeypatch.setattr(complexity, "convexity_witness_states", lambda d: states)
+    assert convexity_scan(3, 50, 4) == expected
+    assert expected[0].index == -1
+    for state, rho in zip(states[:2], before):
+        assert not state.rho.flags.writeable
+        assert state.rho.tobytes() == rho.tobytes()
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_scan_block_mixes_in_place_bitwise(d):
+    # A block of 40 draws with the witness planted at row 17: the in-place
+    # mixture gives the same violations, field for field, as the plain formula.
+    rng = np.random.default_rng(d)
+    rho_a, rho_b = (random_rank_mixed_stack(d, 40, rng) for _ in range(2))
+    lam = rng.uniform(size=40)
+    witness_a, witness_b, lam[17] = convexity_witness_states(d)
+    rho_a[17], rho_b[17] = witness_a.rho, witness_b.rho
+    w = lam[:, None, None]
+    c_mix = _moment_complexities(_batch_psd_sqrt(w * rho_a + (1 - w) * rho_b))
+    c_avg = (lam * _moment_complexities(_batch_psd_sqrt(rho_a))
+             + (1 - lam) * _moment_complexities(_batch_psd_sqrt(rho_b)))
+    expected = [ConvexityViolation(100 + int(i), float(lam[i]), float(c_mix[i]), float(c_avg[i]))
+                for i in np.flatnonzero(c_mix > c_avg + complexity._CONVEXITY_TOL)]
+    assert 117 in [v.index for v in expected]
+    assert complexity._scan_block(100, rho_a.copy(), rho_b.copy(), lam) == expected
 
 
 def _scan_peak_mib(d, samples):

@@ -119,7 +119,7 @@ def test_product_phase_d3_example():
     # Oracle: multiply the 3x3 matrices and project onto D(1,1).
     phase, idx = weyl_product_phase(WeylIndex(1, 0, 3), WeylIndex(0, 1, 3))
     assert (idx.k, idx.l) == (1, 1)
-    assert phase.exponent == 5  # -1 mod 6
+    assert phase.exponent == 2  # -1 mod 3, the order of tau at d = 3
     product = weyl_matrix(3, 1, 0) @ weyl_matrix(3, 0, 1)
     measured = np.trace(weyl_matrix(3, 1, 1).conj().T @ product) / 3
     assert abs(measured - phase.value) <= 1e-12
@@ -143,7 +143,8 @@ def test_odd_dimension_unreduced_exponent_is_ls_minus_kt(d):
             for k2 in range(d - k1):
                 for l2 in range(d - l1):
                     phase, _ = weyl_product_phase(WeylIndex(k1, l1, d), WeylIndex(k2, l2, d))
-                    assert phase.exponent == (l1 * k2 - k1 * l2) % (2 * d)
+                    # tau has order d at odd d, so the exponent is stored mod d.
+                    assert phase.exponent == (l1 * k2 - k1 * l2) % d
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,13 +161,15 @@ def test_product_phase_law_property(d, data):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
 def test_product_phase_is_the_stacked_law_row(d):
-    # The whole d^4 walk in one stacked call, against the scalar API per quadruple.
+    # The whole d^4 walk in one stacked call, against the scalar API per quadruple;
+    # the stacked exponent is mod 2d, the scalar one mod the order of tau.
     k1, l1, k2, l2 = np.indices((d,) * 4).reshape(4, -1)
     e, k, l = weyl._product_law(d, k1, l1, k2, l2)
+    order = d if d % 2 else 2 * d
     for row in range(d**4):
         phase, idx = weyl_product_phase(WeylIndex(int(k1[row]), int(l1[row]), d),
                                         WeylIndex(int(k2[row]), int(l2[row]), d))
-        assert (phase.exponent, idx.k, idx.l) == (e[row], k[row], l[row])
+        assert (phase.exponent, idx.k, idx.l) == (e[row] % order, k[row], l[row])
 
 
 def test_product_phase_dim_mismatch():
@@ -174,38 +177,51 @@ def test_product_phase_dim_mismatch():
         weyl_product_phase(WeylIndex(0, 0, 2), WeylIndex(0, 0, 3))
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("d", range(2, 65))
 def test_basis_orthogonality(d):
     assert weyl_basis_check(d)
 
 
-def _wrong_phase(m, d):
-    m[1, 0] *= 1j
+@pytest.mark.parametrize("d", [2, 5, 12, 16, 64])
+def test_basis_check_does_not_depend_on_block_size(monkeypatch, d):
+    # One operator per block, then every operator in one block.
+    for entries in (d * d, 2**20):
+        monkeypatch.setattr(matcore, "_BLOCK_ENTRIES", entries)
+        assert weyl_basis_check(d)
 
 
-def _stray_entry(m, d):
-    m[0, 0] = 1e-3  # row 0 is off the support of column 0 for shift 1
+# Each defect damages column 0 of one D(k, l), whose support there is row k.
+def _wrong_phase(m, k, d):
+    m[k % d, 0] *= 1j
 
 
-def _wrong_row(m, d):
-    m[2 % d, 0], m[1, 0] = m[1, 0], 0
+def _stray_entry(m, k, d):
+    m[(k + 1) % d, 0] = 1e-3  # off the support of column 0
 
 
-def _nan_entry(m, d):
-    m[1, 0] = np.nan
+def _wrong_row(m, k, d):
+    m[(k + 1) % d, 0], m[k % d, 0] = m[k % d, 0], 0
+
+
+def _nan_entry(m, k, d):
+    m[k % d, 0] = np.nan
+
+
+def _damage_one_operator(monkeypatch, defect, k, l):
+    writer = weyl._displacements
+
+    def damaged(d, ks, ls):
+        ops = writer(d, ks, ls)
+        for row in np.flatnonzero((ks == k) & (ls == l)):
+            defect(ops[row], k, d)
+        return ops
+
+    monkeypatch.setattr(weyl, "_displacements", damaged)
 
 
 @pytest.mark.parametrize("defect", [_wrong_phase, _stray_entry, _wrong_row, _nan_entry])
 def test_basis_check_sees_one_bad_entry(monkeypatch, capsys, defect):
-    writer = weyl._displacements
-
-    def damaged(d, k, l):
-        ops = writer(d, k, l)
-        for row in np.flatnonzero((k == 1) & (l == 1)):
-            defect(ops[row], d)
-        return ops
-
-    monkeypatch.setattr(weyl, "_displacements", damaged)
+    _damage_one_operator(monkeypatch, defect, 1, 1)
     for d in (2, 3, 4, 7):
         assert not weyl_basis_check(d)
     assert main(["verify", "weyl", "--d", "3"]) == 1
@@ -213,13 +229,38 @@ def test_basis_check_sees_one_bad_entry(monkeypatch, capsys, defect):
     assert failed == ["weyl-basis-orthogonality-d3"]
 
 
+@pytest.mark.parametrize("defect", [_wrong_phase, _stray_entry, _wrong_row, _nan_entry])
+@pytest.mark.parametrize("d, k, l", [(12, 1, 1), (12, 9, 2), (12, 9, 10), (12, 11, 11),
+                                     (64, 1, 1), (64, 40, 37), (64, 63, 63)])
+def test_blocked_basis_check_sees_one_bad_entry(monkeypatch, defect, d, k, l):
+    # At d = 12 the default blocks hold 113 operators: shift 9 (operators
+    # 108..119) straddles the first two blocks, (9, 2) sits in the first and
+    # (9, 10) in the second.  At d = 64 every shift spans 16 blocks of 4.
+    assert next(matcore._blocks(144, 12)) == range(0, 113)
+    _damage_one_operator(monkeypatch, defect, k, l)
+    assert not weyl_basis_check(d)
+    for entries in (d * d, 2**20):
+        monkeypatch.setattr(matcore, "_BLOCK_ENTRIES", entries)
+        assert not weyl_basis_check(d)
+
+
+def test_basis_check_holds_one_block():
+    # Only a block of operators (4 at d = 64, 256 KiB) and the d phase
+    # vectors of the shift in progress outlive a step; the whole-shift walk
+    # held 64 operators (4 MiB, a 4.25 MiB traced peak).
+    weyl_basis_check(64)  # builds the per-d constants
+    ok, peak = traced_peak_mib(lambda: weyl_basis_check(64))
+    assert ok and peak < 1
+
+
 def test_weyl_suite_holds_no_operator_stack():
     # The d = 64 suite once held all d^2 operators (268 MB) and their
-    # 4096 x 4096 Gram matrix, with a traced peak above 900 MiB; one shift's
-    # operators (4 MiB) are the largest array it holds now.
+    # 4096 x 4096 Gram matrix, with a traced peak above 900 MiB, then one
+    # shift's 64 operators (4.3 MiB); it now holds one block of the block
+    # rule at a time (0.8 MiB).
     rows, peak = traced_peak_mib(lambda: verify.suite_weyl(dims=[64], seed=0))
     assert all(r.passed for r in rows)
-    assert peak < 8
+    assert peak < 2
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
@@ -241,11 +282,40 @@ def test_coefficient_table_rejects_non_square(shape):
 
 
 def test_phase_exponent_normalization():
-    assert PhaseExponent(-1, 3).exponent == 5
+    assert PhaseExponent(-1, 3).exponent == 2
     assert PhaseExponent(7, 3).exponent == 1
     e = PhaseExponent(3, 4)
     assert abs(e.value - tau_power(4, 3)) == 0.0
     assert abs(abs(e.value) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_equal_phases_compare_and_hash_equal(d):
+    # tau has order d at odd d and 2d at even d: at d = 3, e and e + 3 are one
+    # phase; at d = 4, tau^4 = -1, so e and e + 4 are not.
+    exponents = range(-3 * d, 3 * d)
+    for e1 in exponents:
+        a = PhaseExponent(e1, d)
+        assert a.value == tau_power(d, e1)  # bitwise the unreduced phase
+        for e2 in exponents:
+            b = PhaseExponent(e2, d)
+            same_phase = abs(tau_power(d, e1) - tau_power(d, e2)) <= 1e-12
+            assert (a == b) is same_phase
+            if same_phase:
+                assert hash(a) == hash(b)
+    assert PhaseExponent(3, 3) == PhaseExponent(0, 3)
+    assert PhaseExponent(4, 4) != PhaseExponent(0, 4)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_product_phase_exponents_lie_below_d_at_odd_d(d):
+    # The group law's raw exponent runs over 0..2d-1; the phase it returns
+    # is the one the Clifford table snaps to, with an exponent in [0, d).
+    exponents = {weyl_product_phase(WeylIndex(k1, l1, d), WeylIndex(k2, l2, d))[0].exponent
+                 for k1, l1, k2, l2 in np.ndindex(d, d, d, d)}
+    assert exponents == set(range(d))
+    table = clifford_conjugation_table(fourier_gate(d))
+    assert all(0 <= phase.exponent < d for phase, _ in table.values())
 
 
 def test_tau_power_orders():
