@@ -36,7 +36,7 @@ class CharTable:
 
     The tag drives invariant checks at construction and is never converted
     silently: moments of a state table and of a square-root table are
-    different quantities.
+    different quantities.  Every table must be finite, whatever its tag.
     """
 
     values: np.ndarray
@@ -47,7 +47,9 @@ class CharTable:
         check_dim(v.shape[0])
         if self.source not in (SOURCE_STATE, SOURCE_SQRT_STATE, SOURCE_GENERIC):
             raise ValueError(f"unknown source tag {self.source!r}")
-        _check_invariant(v[None], self.source)
+        _check_invariant(v[None], self.source)  # first, so its message names the failing value
+        if not np.isfinite(v).all():
+            raise ValueError("characteristic table has non-finite entries")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -110,10 +112,13 @@ def char_table(a: np.ndarray | DensityState) -> CharTable:
     """Characteristic table c(k, l) = tr(D(k, l) A).
 
     A :class:`DensityState` argument yields a ``state``-tagged table; a plain
-    matrix yields a ``generic`` one.
+    matrix yields a ``generic`` one, and must be finite (ValueError).
     """
     if isinstance(a, DensityState):
         return CharTable(weyl_coefficient_table(a.rho), SOURCE_STATE)
+    a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     return CharTable(weyl_coefficient_table(a), SOURCE_GENERIC)
 
 

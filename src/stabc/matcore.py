@@ -248,10 +248,12 @@ def mix(states: list[DensityState] | tuple[DensityState, ...], weights) -> Densi
     weights = np.asarray(weights, dtype=float)
     if len(states) != weights.size or weights.size == 0:
         raise ValueError("states and weights must be non-empty and equal length")
-    if np.any(weights < -1e-12):
+    if not np.isfinite(weights).all():
+        raise ValueError("mixture weights have non-finite entries")
+    if not (weights >= -1e-12).all():
         raise ValueError("mixture weights must be nonnegative")
     total = float(weights.sum())
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:
         raise ValueError(f"mixture weights sum to {total}, expected 1 within 1e-8")
     d = states[0].dim
     acc = np.zeros((d, d), dtype=complex)

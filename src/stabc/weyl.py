@@ -24,9 +24,8 @@ tables read that support directly.  Operator stacks come from one kernel,
 :func:`_displacements`; the basis check and the Clifford conjugation table
 walk them one block of the block rule (:func:`~stabc.matcore._blocks`) at a
 time, so nothing here holds more than one block of operators.  The basis
-check keeps only the d phase vectors of each operator past its block, and
-carries those of a shift that spans blocks in one d x d buffer until the
-shift's Gram test.
+check walks one shift at a time and keeps only that shift's d phase
+vectors past their blocks, in one d x d buffer, until its Gram test.
 """
 
 from __future__ import annotations
@@ -214,52 +213,38 @@ def weyl_product_phase(a: WeylIndex, b: WeylIndex) -> tuple[PhaseExponent, WeylI
 def weyl_basis_check(d: int) -> bool:
     """True iff tr(D(k,l) D(s,t)^dag) = d delta_ks delta_lt over all d^4 index pairs.
 
-    Checked one block of :func:`~stabc.matcore._blocks` at a time, in the
-    order D(0, 0), D(0, 1), ..., on the stack :func:`_displacements` writes.
-    Each D(k, l) must have its d nonzeros at rows (j + k) mod d of columns j
-    and none elsewhere, so operators of different shifts k have disjoint
-    supports.  Within a shift the traces form the Gram matrix of the phase
-    vectors D(k, l)[(j + k) mod d, j], which must be d times the identity;
-    a NaN entry fails the comparison.  Only the phase vectors outlive their
-    block: the rows of a shift that a block does not finish are carried in
-    one d x d buffer, and the Gram test runs on each shift as it completes,
-    on all of a block's whole shifts at once.
+    Checked one shift k at a time, each walked over l one block of
+    :func:`~stabc.matcore._blocks` at a time, in the order D(0, 0), D(0, 1),
+    ..., on the stack :func:`_displacements` writes.  Each D(k, l) must have
+    its d nonzeros at rows (j + k) mod d of columns j and none elsewhere, so
+    operators of different shifts k have disjoint supports.  Within a shift
+    the traces form the Gram matrix of the phase vectors
+    D(k, l)[(j + k) mod d, j], which must be d times the identity; a NaN
+    entry fails the comparison.  Only the phase vectors outlive their block,
+    in one d x d buffer; each block is freed before the next one is built
+    and before the shift's Gram test.
     """
     d = check_dim(d)
     j = np.arange(d)
-    carried = np.empty((d, d), dtype=complex)  # [l] = phase vector of D(k, l), shift in progress
-    for block in _blocks(d * d, d):
-        k, l = np.divmod(np.arange(block.start, block.stop), d)
-        n = len(k)
-        ops = _displacements(d, k, l)
-        support = np.arange(n)[:, None], (j + k[:, None]) % d, j
-        phases = ops[support]  # [row, j]
-        # Every phase must be nonzero and every other entry zero.  With the
-        # support read and zeroed, a complex entry is nonzero (NaN included)
-        # iff one of its parts is, so one pass over the real view tests the
-        # rest (a complex count_nonzero of the block costs ~4x that pass).
-        ops[support] = 0
-        if np.count_nonzero(phases) != n * d or ops.view(float).any():
+    phases = np.empty((d, d), dtype=complex)  # [l] = phase vector of D(k, l)
+    for k in range(d):
+        for block in _blocks(d, d):
+            l = np.arange(block.start, block.stop)
+            ops = _displacements(d, np.full(len(l), k), l)
+            support = np.arange(len(l))[:, None], (j + k) % d, j
+            vectors = phases[block.start:block.stop]
+            vectors[:] = ops[support]
+            # Every phase must be nonzero and every other entry zero.  With the
+            # support read and zeroed, a complex entry is nonzero (NaN included)
+            # iff one of its parts is, so one pass over the real view tests the
+            # rest (a complex count_nonzero of the block costs ~4x that pass).
+            ops[support] = 0
+            if np.count_nonzero(vectors) != vectors.size or ops.view(float).any():
+                return False
+            del ops  # freed before the next block and the Gram test
+        if not np.abs(phases @ phases.conj().T - d * np.eye(d)).max() <= 1e-10 * d:
             return False
-        del ops  # freed before the Gram test
-        # The first `head` rows finish the shift carried in; then whole
-        # shifts; the last `tail` rows start the shift carried out.
-        head = min(-block.start % d, n)
-        tail = (n - head) % d
-        carried[l[:head]] = phases[:head]
-        if head and l[head - 1] == d - 1 and not _unit_gram(carried[None], d):
-            return False
-        if n - tail > head and not _unit_gram(phases[head:n - tail].reshape(-1, d, d), d):
-            return False
-        carried[l[n - tail:]] = phases[n - tail:]
     return True
-
-
-def _unit_gram(vectors: np.ndarray, d: int) -> bool:
-    """True iff each (d, d) stack member's rows have Gram matrix d times the identity, NaN fails."""
-    gram = vectors @ vectors.conj().swapaxes(1, 2)
-    gram[:, np.arange(d), np.arange(d)] -= d
-    return bool(np.abs(gram).max() <= 1e-10 * d)
 
 
 def fourier_gate(d: int) -> np.ndarray:

@@ -187,6 +187,26 @@ def test_sqrt_table_check_refuses_non_finite_entries(bad):
         CharTable(values, SOURCE_SQRT_STATE)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_every_table_refuses_non_finite_entries(bad):
+    # A state table was checked at c(0,0) only and a generic one not at all:
+    # lp_moment then read the NaN as an overflowing power sum.
+    state = random_mixed(3, 2, 5)
+    for table in (char_table(state), sqrt_char_table(state), char_table(np.eye(3))):
+        values = table.values.copy()
+        values[1, 2] = bad
+        with pytest.raises(ValueError):
+            CharTable(values, table.source)
+
+
+def test_char_table_refuses_a_non_finite_matrix():
+    # Refused before the table product, which warned and returned NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            char_table(np.full((2, 2), np.inf))
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_pure_moment4_bracket(d):
     # Table bounds for pure states: fiducial floor and stabilizer ceiling.

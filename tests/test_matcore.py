@@ -369,6 +369,15 @@ def test_mix_weights():
         mix([a, DensityState.maximally_mixed(3)], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan], [np.inf, 0.0], [1.0, -np.inf]])
+def test_mix_refuses_non_finite_weights(weights):
+    # Comparisons with NaN are False, so a NaN weight passed both weight tests
+    # and was refused later by the density matrix check, which named the matrix.
+    a, b = DensityState.pure([1, 0]), DensityState.pure([0, 1])
+    with pytest.raises(ValueError, match="mixture weights have non-finite entries"):
+        mix([a, b], weights)
+
+
 # -- the one power-sum reduction ----------------------------------------------
 
 POWER_SUM_EXPONENTS = (2, 3.5, 4, 6)

@@ -190,6 +190,25 @@ def test_basis_check_does_not_depend_on_block_size(monkeypatch, d):
         assert weyl_basis_check(d)
 
 
+@pytest.mark.parametrize("d", [2, 12, 64])
+def test_basis_check_builds_each_operator_once_shift_by_shift(monkeypatch, d):
+    kernel = weyl._displacements
+    requests = []  # the (k, l) of each stack asked for, in order
+
+    def recorded(d, k, l):
+        requests.append(list(zip(k.tolist(), l.tolist())))
+        return kernel(d, k, l)
+
+    monkeypatch.setattr(weyl, "_displacements", recorded)
+    for entries in (d * d, matcore._BLOCK_ENTRIES, 2**20):
+        monkeypatch.setattr(matcore, "_BLOCK_ENTRIES", entries)
+        requests.clear()
+        assert weyl_basis_check(d)
+        assert [kl for request in requests for kl in request] == [
+            (k, l) for k in range(d) for l in range(d)]
+        assert max(map(len, requests)) <= len(next(matcore._blocks(d, d)))
+
+
 # Each defect damages column 0 of one D(k, l), whose support there is row k.
 def _wrong_phase(m, k, d):
     m[k % d, 0] *= 1j
@@ -233,9 +252,10 @@ def test_basis_check_sees_one_bad_entry(monkeypatch, capsys, defect):
 @pytest.mark.parametrize("d, k, l", [(12, 1, 1), (12, 9, 2), (12, 9, 10), (12, 11, 11),
                                      (64, 1, 1), (64, 40, 37), (64, 63, 63)])
 def test_blocked_basis_check_sees_one_bad_entry(monkeypatch, defect, d, k, l):
-    # At d = 12 the default blocks hold 113 operators: shift 9 (operators
-    # 108..119) straddles the first two blocks, (9, 2) sits in the first and
-    # (9, 10) in the second.  At d = 64 every shift spans 16 blocks of 4.
+    # At d = 12 the default blocks hold 113 operators, more than a shift's
+    # 12, so each shift is walked in one block: (9, 2) and (9, 10) share
+    # shift 9's, and with one operator per block they sit in blocks of their
+    # own.  At d = 64 every shift spans 16 blocks of 4.
     assert next(matcore._blocks(144, 12)) == range(0, 113)
     _damage_one_operator(monkeypatch, defect, k, l)
     assert not weyl_basis_check(d)
