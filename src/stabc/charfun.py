@@ -19,7 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import TRACE_TOL, DensityState, _as_square, _power_sums, check_dim, psd_sqrt
+from .matcore import (
+    TRACE_TOL,
+    DensityState,
+    _as_square,
+    _check_real,
+    _power_sums,
+    check_dim,
+    psd_sqrt,
+)
 from .weyl import weyl_coefficient_table, weyl_expand
 
 SOURCE_STATE = "state"
@@ -151,7 +159,7 @@ def _lp_moments(tables: np.ndarray, p: float) -> np.ndarray:
     sum overflows.  A sum cannot underflow to zero instead: c(0,0) = 1 in a
     state table, and tr S >= 1 in a square-root table.
     """
-    p = float(p)
+    p = _check_real(p, "moment exponent")
     if not 2.0 <= p < np.inf:
         raise ValueError(f"moment exponent must be finite and >= 2, got {p}")
     with np.errstate(over="ignore"):

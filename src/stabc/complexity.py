@@ -32,14 +32,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .charfun import SOURCE_STATE, _checked_tables, _moment_complexities
-from .errors import NotHermitianError
 from .matcore import (
-    HERMITIAN_TOL,
     SQRT_RANK_RCOND,
     DensityState,
     _batch_psd_sqrt,
     _blocks,
     _check_count,
+    _check_hermitian,
+    _check_real,
     _hs_norms,
     _power_sums,
     _pure_members,
@@ -298,6 +298,7 @@ class RhoPFamily:
     p: float
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _check_real(self.p, "mixing parameter p"))
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"mixing parameter p must lie in [0, 1], got {self.p}")
         if not self.psi.is_pure():
@@ -342,10 +343,10 @@ def rho_p_second_derivative(family: RhoPFamily, p0: float, step: float = 1e-4) -
     stencil inside it is accepted, including one centred at p0 = 0.  The
     anchor's pure complexity is evaluated once via the moment route.
     """
-    h = float(step)
+    h = _check_real(step, "step")
     if not h > 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    p0 = float(p0)
+    p0 = _check_real(p0, "p0")
     if not np.isfinite(p0):
         raise ValueError(f"p0 must be finite, got {p0}")
     d = family.dim
@@ -379,7 +380,7 @@ def rho_p_expansion_residual(family: RhoPFamily, epsilon: float) -> float:
     the remainder is O(eps^2).  The anchor must sit at the pure-state
     complexity floor (i.e. be a stabilizer state).
     """
-    eps = float(epsilon)
+    eps = _check_real(epsilon, "epsilon")
     if not 0.0 < eps <= 0.1:
         raise ValueError(f"epsilon must lie in (0, 0.1], got {epsilon}")
     d = family.dim
@@ -405,10 +406,12 @@ def batch_complexity(rhos: np.ndarray) -> np.ndarray:
     :func:`_moment_complexities`, whose table check refuses a member of
     trace other than 1 with ValueError.  The roots skip the S^2 = rho check,
     which would add about a fifth to the call.
-    Every member must be Hermitian and finite: the square root reads only
-    the lower triangle, so anything else raises NotHermitianError instead of
-    giving a finite, wrong value.  That check covers the whole stack before
-    any root is taken.  The roots, the table check and the moments then run
+    Every member must pass the Hermiticity rule of :class:`DensityState`
+    (:func:`~stabc.matcore._check_hermitian`; NaN and inf fail it): the
+    square root reads only the lower triangle, so anything else raises
+    NotHermitianError instead of giving a finite, wrong value.  That check
+    covers the whole stack, block by block, before any root is taken.  The
+    roots, the table check and the moments then run
     one block of :func:`_blocks` at a time, in order, so the first block
     with a fault raises: a trace fault in an earlier block raises ValueError
     even if a later block holds a negative eigenvalue.  An empty stack gives
@@ -418,22 +421,11 @@ def batch_complexity(rhos: np.ndarray) -> np.ndarray:
     if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {rhos.shape}")
     n, d = rhos.shape[0], check_dim(rhos.shape[1])
-    blocks = [slice(block.start, block.stop) for block in _blocks(n, d)]
-    # Entry (j, i) of A - A^dag has exactly the modulus of entry (i, j), so the
-    # lower triangle, diagonal included, gives the whole defect.  NaN or inf
-    # in either triangle makes it NaN, which fails the test as well (np.max
-    # keeps a NaN, where Python's max could drop it).
-    rows, cols = np.tril_indices(d)
-    defect = float(np.max(
-        [np.abs(rhos[b, rows, cols] - np.conj(rhos[b, cols, rows])).max() for b in blocks],
-        initial=0.0,
-    ))
-    if not defect <= HERMITIAN_TOL * d:
-        raise NotHermitianError(
-            f"stack symmetry defect {defect:.3e} exceeds {HERMITIAN_TOL * d:.3e} (or is not finite)"
-        )
+    _check_hermitian(
+        rhos, "stack symmetry defect {defect:.3e} exceeds {tol:.3e} (or is not finite)")
     out = np.empty(n)
-    for b in blocks:
+    for block in _blocks(n, d):
+        b = slice(block.start, block.stop)
         out[b] = _moment_complexities(_batch_psd_sqrt(rhos[b]))
     return out
 

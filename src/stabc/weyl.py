@@ -50,15 +50,19 @@ def tau_power(d: int, e) -> complex | np.ndarray:
     """tau^e with tau = -exp(i pi / d), for integer exponent(s) e.
 
     An array of exponents must have an integer dtype.  The exponent is
-    reduced mod 2d before exponentiation so the angle is in [0, 2 pi).
+    reduced mod 2d before it is multiplied by d + 1, so no size overflows: a
+    scalar as a Python int, an array in int64, or in uint64 if it is one
+    (its values past 2^63 do not fit int64).  The angle is in [0, 2 pi).
     """
     d = check_dim(d)
     if np.ndim(e) == 0:
-        e = _check_int(e, "exponent")
-    elif not np.issubdtype(np.asarray(e).dtype, np.integer):
-        raise ValueError(f"exponents must be integers, got {np.asarray(e).dtype} entries")
-    m = (np.asarray(e, dtype=np.int64) * (d + 1)) % (2 * d)
-    val = np.exp(1j * np.pi * m / d)
+        m = np.int64(_check_int(e, "exponent") % (2 * d))
+    else:
+        e = np.asarray(e)
+        if not np.issubdtype(e.dtype, np.integer):
+            raise ValueError(f"exponents must be integers, got {e.dtype} entries")
+        m = np.remainder(e if e.dtype.itemsize == 8 else e.astype(np.int64), 2 * d).astype(np.int64)
+    val = np.exp(1j * np.pi * (m * (d + 1) % (2 * d)) / d)
     return complex(val) if np.ndim(e) == 0 else val
 
 

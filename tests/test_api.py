@@ -4,6 +4,7 @@ import inspect
 from pathlib import Path
 
 import numpy as np
+from helpers import count_calls
 
 import stabc
 from stabc import DensityState, charfun, cli, complexity, matcore, states, verify, weyl
@@ -91,6 +92,28 @@ def test_second_implementations_are_gone():
     assert not hasattr(complexity, "_BLOCK_ENTRIES")
     assert complexity._blocks is matcore._blocks
     assert _weyl_matrix_callers() == set()
+
+
+def test_one_hermiticity_rule_and_one_frobenius_norm(monkeypatch):
+    # A state and a stack reach the one rule in matcore; complexity keeps no
+    # tolerance, error class or triangle walk of its own.
+    tree = ast.parse(inspect.getsource(complexity))
+    names = {getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert names.isdisjoint({"HERMITIAN_TOL", "NotHermitianError", "tril_indices"})
+    assert complexity._check_hermitian is matcore._check_hermitian
+    calls = [0]
+    count_calls(monkeypatch, [matcore, complexity], "_check_hermitian", calls)
+    rho = np.eye(3, dtype=complex) / 3
+    DensityState(rho)
+    assert calls[0] == 1
+    complexity.batch_complexity(np.stack([rho] * 4))
+    assert calls[0] == 2
+    # hs_norm is the one-row case of _hs_norms.
+    norms = [0]
+    count_calls(monkeypatch, [matcore], "_hs_norms", norms)
+    assert matcore.hs_norm(rho) == np.linalg.norm(rho)
+    assert norms[0] == 1
 
 
 def test_ginibre_layout_is_private_to_matcore():

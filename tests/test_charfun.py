@@ -154,6 +154,15 @@ def test_moment_rejects_bad_exponent_and_generic_tables():
         lp_moment(char_table(np.eye(2, dtype=complex)), 4.0)
 
 
+def test_moment_exponent_is_a_real_number():
+    # True was taken as p = 1 and "4" was parsed as 4.0.
+    t = char_table(DensityState.maximally_mixed(2))
+    for bad in (True, np.bool_(True), "4", None, 4 + 0j, np.complex128(4.0)):
+        with pytest.raises(ValueError, match="moment exponent must be a real number"):
+            lp_moment(t, bad)
+    assert lp_moment(t, np.int64(4)) == lp_moment(t, np.float32(4.0)) == lp_moment(t, 4.0)
+
+
 def test_moment_refuses_infinite_and_overflowing_exponents():
     # The largest |c| of this table is sqrt(7) = 2.6458, the value every large p
     # tends to; p = inf once returned 1.0 and p = 1e6 returned inf.

@@ -426,6 +426,28 @@ def test_rho_p_stack_rows_are_bitwise_the_one_state_formula(d):
         assert np.array_equal(rho, rho_p_state(RhoPFamily(psi, p)).rho)
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(False), "0.5", None, 0.5 + 0j, np.complex128(0.5)])
+def test_rho_p_parameters_are_real_numbers(bad):
+    # True was kept as p = True, and strings were parsed as numbers.
+    fam = stabilizer_family(2)
+    for call, name in [(lambda: RhoPFamily(basis_state(2), bad), "mixing parameter p"),
+                       (lambda: rho_p_second_derivative(fam, bad), "p0"),
+                       (lambda: rho_p_second_derivative(fam, 0.5, bad), "step"),
+                       (lambda: rho_p_expansion_residual(fam, bad), "epsilon")]:
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            call()
+
+
+def test_rho_p_parameters_take_python_and_numpy_reals():
+    for p in (1, np.int64(1), np.float32(0.5), np.float64(0.25), 0.5):
+        fam = RhoPFamily(basis_state(3), p)
+        assert type(fam.p) is float and fam.p == float(p)
+    fam = stabilizer_family(3)
+    assert rho_p_second_derivative(fam, np.float32(0.5), np.float64(1e-4)) == \
+        rho_p_second_derivative(fam, 0.5, 1e-4)
+    assert rho_p_expansion_residual(fam, np.float64(1e-3)) == rho_p_expansion_residual(fam, 1e-3)
+
+
 def test_rho_p_family_refuses_near_pure_anchor():
     # Purity 0.999999994, but the root has rank two, so the closed form,
     # which assumes a rank-one root, would miss the generic value by ~4e-9.
@@ -982,14 +1004,14 @@ def test_batch_complexity_checks_symmetry_before_any_root(monkeypatch, d):
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_batch_complexity_symmetry_defect_is_the_same_from_either_triangle(monkeypatch, d):
     # The check reads the lower triangle only: an asymmetry planted above or
-    # below the diagonal of the last block gives the message of the full
-    # |A - A^dag| maximum, and a NaN or inf above the diagonal still raises.
+    # below the diagonal of the last block gives the message of the worst
+    # member's full ||A - A^dag||, and a NaN or inf above the diagonal still raises.
     rhos = _three_block_stack(monkeypatch, d)
     messages = []
     for at in ((9, 0, d - 1), (9, d - 1, 0)):
         planted = rhos.copy()
         planted[at] += 3e-11 + 2e-11j
-        full = np.abs(planted - planted.conj().swapaxes(1, 2)).max()
+        full = max(np.linalg.norm(a - a.conj().T) for a in planted)
         with pytest.raises(NotHermitianError) as error:
             batch_complexity(planted)
         messages.append(str(error.value))
@@ -1001,6 +1023,44 @@ def test_batch_complexity_symmetry_defect_is_the_same_from_either_triangle(monke
         planted[9, 0, d - 1] = bad
         with pytest.raises(NotHermitianError, match="not finite"):
             batch_complexity(planted)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 64])
+def test_batch_complexity_refuses_what_density_state_refuses(d):
+    # An asymmetry of eps i above the diagonal: its largest entry is eps, under
+    # HERMITIAN_TOL d, while its Frobenius norm eps sqrt(d (d - 1)) is once above
+    # that tolerance and once below it.  The stack is refused exactly when some
+    # member is refused alone.
+    tol = HERMITIAN_TOL * d
+    rhos = random_mixed_stack(d, (np.arange(5) % d) + 1, np.random.default_rng(d))
+    upper = np.triu(np.ones((d, d)), 1)
+    for eps in (0.9 * tol, 0.5 * tol / np.sqrt(d * (d - 1))):
+        planted = rhos.copy()
+        planted[3] += eps * 1j * upper
+        assert np.abs(planted - planted.conj().swapaxes(1, 2)).max() < tol
+        refused = []
+        for rho in planted:
+            try:
+                DensityState(rho)
+                refused.append(False)
+            except NotHermitianError:
+                refused.append(True)
+        assert refused == [False, False, False, eps > tol / np.sqrt(d * (d - 1)), False]
+        if any(refused):
+            with pytest.raises(NotHermitianError, match="stack symmetry defect"):
+                batch_complexity(planted)
+        else:
+            assert batch_complexity(planted).shape == (5,)
+
+
+def test_batch_complexity_refuses_a_frobenius_defect_of_small_entries():
+    # A d = 64 Ginibre state with 4e-11 i above the diagonal: every entry of
+    # A - A^dag is at most 4e-11, under the 6.4e-11 tolerance, but its
+    # Frobenius defect is 2.5e-9.  The stack path once returned C = 1975.31.
+    rho = random_mixed(64, 64, 0).rho + 4e-11j * np.triu(np.ones((64, 64)), 1)
+    for call in (DensityState, lambda a: batch_complexity(a[None])):
+        with pytest.raises(NotHermitianError, match="symmetry defect 2.540e-09 exceeds 6.400e-11"):
+            call(rho)
 
 
 def test_convexity_scan_takes_its_draws_to_the_kernels(monkeypatch):

@@ -12,6 +12,7 @@ from stabc import (
     complexity_report,
     enumerate_stabilizer_states,
     haar_unitary,
+    hs_norm,
     known_fiducial,
     mix,
     psd_sqrt,
@@ -22,6 +23,7 @@ from stabc.matcore import (
     _BLOCK_ENTRIES,
     SQRT_RANK_RCOND,
     _batch_psd_sqrt,
+    _check_hermitian,
     _power_sums,
     check_dim,
     random_mixed_stack,
@@ -349,6 +351,39 @@ def test_construction_floor_is_unchanged(d):
     with pytest.raises(ValueError, match="trace") as raised:
         DensityState(2 * _state_with_min_eigenvalue(d, -2e-10))
     assert not isinstance(raised.value, NegativeEigenvalueError)
+
+
+def test_hs_norm_is_bitwise_the_numpy_norm():
+    # The one-row case of _hs_norms, for complex, real, integer and bool arrays.
+    rng = np.random.default_rng(7)
+    for shape in [(5,), (3, 3), (8, 8), (2, 4, 3)]:
+        a = rng.standard_normal(shape)
+        for x in (a, a + 1j * rng.standard_normal(shape), np.rint(10 * a).astype(int), a > 0):
+            assert hs_norm(x) == np.linalg.norm(x)
+    assert hs_norm(np.eye(2, dtype=bool)) == math.sqrt(2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 64])
+def test_hermitian_check_reads_the_frobenius_norm(d):
+    # The defect of each member is ||A - A^dag||_F from the lower triangle and
+    # its mirror; the stack message carries the worst member's.
+    rng = np.random.default_rng(d)
+    stack = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+    stack = (stack + stack.conj().swapaxes(1, 2)) / 2
+    stack[2] += 1e-9 * rng.standard_normal((d, d))
+    stack[4] += 3e-9j * np.eye(d)
+    full = [np.linalg.norm(a - a.conj().T) for a in stack]
+    with pytest.raises(NotHermitianError) as error:
+        _check_hermitian(stack, "{defect!r} {tol!r}")
+    defect, tol = map(float, str(error.value).split())
+    assert tol == 1e-12 * d
+    assert defect == pytest.approx(max(full), rel=1e-14)
+    _check_hermitian(stack[[0, 1, 3]], "")
+    _check_hermitian(stack[:0], "")
+    for bad in (np.nan, np.inf):
+        stack[1, 0, d - 1] = bad
+        with pytest.raises(NotHermitianError):
+            _check_hermitian(stack[:2], "")
 
 
 def test_density_state_is_frozen():

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from helpers import naive_weyl_matrix, naive_weyl_stack, traced_peak_mib
@@ -72,6 +74,31 @@ def test_weyl_matrix_rejects_out_of_range_index():
         weyl_matrix(3, 3, 0)
     with pytest.raises(ValueError):
         weyl_matrix(3, 0, -1)
+
+
+def _tau_power_by_python_ints(d, e):
+    return cmath.exp(1j * cmath.pi * ((e * (d + 1)) % (2 * d)) / d)
+
+
+@pytest.mark.parametrize("d", [3, 4, 64])
+def test_tau_power_reduces_before_it_multiplies(d):
+    # e (d + 1) was formed in int64 first: at d = 3, 2^62 + 5 gave
+    # -0.5 + 0.866i for tau^e = 1, and 10^19 raised OverflowError.
+    big = [2**62 + 5, -(2**62) - 3, 2**63 - 1, -(2**63), 10**19, -(10**30), 3**90]
+    for e in big:
+        assert abs(tau_power(d, e) - _tau_power_by_python_ints(d, e)) <= 1e-15
+    signed = np.array([e for e in big if -(2**63) <= e < 2**63], dtype=np.int64)
+    unsigned = np.array([e % 2**64 for e in big], dtype=np.uint64)  # five of them past 2^63
+    for exps in (signed, unsigned):
+        expected = [_tau_power_by_python_ints(d, int(e)) for e in exps]
+        assert np.abs(tau_power(d, exps) - expected).max() <= 1e-15
+        assert np.array_equal(tau_power(d, exps), [tau_power(d, int(e)) for e in exps])
+    # Small exponents keep the bits of the unreduced product.
+    small = np.arange(-2 * d, 4 * d + 1)
+    before = np.exp(1j * np.pi * ((small.astype(np.int64) * (d + 1)) % (2 * d)) / d)
+    assert tau_power(d, small).tobytes() == before.tobytes()
+    assert all(tau_power(d, int(e)) == b for e, b in zip(small, before))
+    assert tau_power(d, small.astype(np.int8)).tobytes() == before.tobytes()
 
 
 def test_weyl_matrix_and_tau_power_take_integers_only():
