@@ -106,8 +106,11 @@ def _moment_complexities(roots: np.ndarray) -> np.ndarray:
     """d^2 - sum |c(k,l)(S)|^4 for each root S of a stack (n, d, d): the one moment-route kernel.
 
     Every C reduces here.  Each table is checked as a ``sqrt_state`` table
-    (sum |c|^2 = d), so a member whose trace is not 1 raises ValueError.  The
-    check's sums and the moments come from one |c| pass.
+    (sum |c|^2 = d tr S^2 = d), else ValueError.  A state's unit trace is
+    decided before its root, by the one acceptance rule
+    (:func:`~stabc.matcore._check_density`), so this is the root's own
+    invariant: it guards the root and its table.  The check's sums and the
+    moments come from one |c| pass.
     """
     d = roots.shape[-1]
     tables = weyl_coefficient_table(roots)

@@ -38,7 +38,7 @@ from .matcore import (
     _batch_psd_sqrt,
     _blocks,
     _check_count,
-    _check_hermitian,
+    _check_density,
     _check_real,
     _hs_norms,
     _power_sums,
@@ -156,11 +156,16 @@ def _definition_tables(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=16)
 def _definition_constants(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """F, conj(F) and the flat indices [b, m] of S[b, b+m] and S[b+m, b], built once per d."""
+    """F, conj(F) and the flat indices [b, m] of S[b, b+m] and S[b+m, b], built once per d.
+
+    The upper index is the table gather of :func:`~stabc.weyl._table_constants`
+    transposed, so one place owns that layout; it is copied C-contiguous, as
+    ``take`` reads a strided index ~1.3x slower at d = 64.
+    """
     j = np.arange(d)
-    cols = (j[:, None] + j[None, :]) % d
-    fourier = _table_constants(d)[1]
-    constants = (fourier.conj(), j[:, None] * d + cols, cols * d + j[:, None])
+    table_at, fourier, _ = _table_constants(d)
+    constants = (fourier.conj(), np.ascontiguousarray(table_at.T),
+                 ((j[:, None] + j[None, :]) % d) * d + j[:, None])
     for array in constants:
         array.setflags(write=False)
     return (fourier, *constants)
@@ -277,8 +282,8 @@ def qubit_complexity(bloch: BlochVector | tuple[float, float, float]) -> float:
 
 def _qubit_closed_forms(r: np.ndarray) -> np.ndarray:
     """The closed form for each row of a stack of Bloch vectors (n, 3), unchecked."""
-    # One product per member, as _hs_norms takes its norms: bitwise r_i @ r_i.
-    r2 = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    # One dot per member, as _hs_norms takes its norms: bitwise r_i @ r_i.
+    r2 = np.vecdot(r, r)
     # Norm defects at rounding scale are resolved to "exactly pure", matching
     # the eigenvalue-dust convention of the square-root route: the kink of
     # sqrt(1 - r^2) would otherwise blow 1e-16 dust up to 1e-8.
@@ -403,25 +408,24 @@ def batch_complexity(rhos: np.ndarray) -> np.ndarray:
 
     Bitwise complexity_by_moments along the first axis: a stacked square
     root (closed form at d = 2, one stacked eigensolve otherwise) through
-    :func:`_moment_complexities`, whose table check refuses a member of
-    trace other than 1 with ValueError.  The roots skip the S^2 = rho check,
-    which would add about a fifth to the call.
-    Every member must pass the Hermiticity rule of :class:`DensityState`
-    (:func:`~stabc.matcore._check_hermitian`; NaN and inf fail it): the
-    square root reads only the lower triangle, so anything else raises
-    NotHermitianError instead of giving a finite, wrong value.  That check
-    covers the whole stack, block by block, before any root is taken.  The
-    roots, the table check and the moments then run
-    one block of :func:`_blocks` at a time, in order, so the first block
-    with a fault raises: a trace fault in an earlier block raises ValueError
-    even if a later block holds a negative eigenvalue.  An empty stack gives
-    an empty result.
+    :func:`_moment_complexities`.  The roots skip the S^2 = rho check, which
+    would add about a fifth to the call.
+    A stack is refused exactly when one of its members would be refused by
+    the acceptance rule of :class:`DensityState`
+    (:func:`~stabc.matcore._check_density`), which runs over the whole
+    stack, block by block, before any root is taken: first finiteness and
+    Hermiticity (NotHermitianError; the square root reads only the lower
+    triangle, so anything else would give a finite, wrong value), then unit
+    trace within TRACE_TOL (ValueError; the paper's bounds hold only for
+    unit trace).  The roots, the root's own table check and the moments then
+    run one block of :func:`_blocks` at a time, in order, so the first block
+    whose root fails raises.  An empty stack gives an empty result.
     """
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.ndim != 3 or rhos.shape[1] != rhos.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {rhos.shape}")
     n, d = rhos.shape[0], check_dim(rhos.shape[1])
-    _check_hermitian(
+    _check_density(
         rhos, "stack symmetry defect {defect:.3e} exceeds {tol:.3e} (or is not finite)")
     out = np.empty(n)
     for block in _blocks(n, d):

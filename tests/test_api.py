@@ -1,9 +1,11 @@
 import ast
 import dataclasses
 import inspect
+import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 from helpers import count_calls
 
 import stabc
@@ -94,21 +96,34 @@ def test_second_implementations_are_gone():
     assert _weyl_matrix_callers() == set()
 
 
+def _names(source: str) -> set[str]:
+    """Every name, attribute and imported name in ``source``."""
+    return {getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+
+
 def test_one_hermiticity_rule_and_one_frobenius_norm(monkeypatch):
-    # A state and a stack reach the one rule in matcore; complexity keeps no
-    # tolerance, error class or triangle walk of its own.
-    tree = ast.parse(inspect.getsource(complexity))
-    names = {getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
-             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
-    assert names.isdisjoint({"HERMITIAN_TOL", "NotHermitianError", "tril_indices"})
-    assert complexity._check_hermitian is matcore._check_hermitian
+    # A state and a stack reach the one acceptance rule in matcore, for
+    # Hermiticity and for the trace; complexity keeps no tolerance, error
+    # class or triangle walk of its own, and DensityState no trace test.
+    assert _names(inspect.getsource(complexity)).isdisjoint(
+        {"HERMITIAN_TOL", "TRACE_TOL", "NotHermitianError", "tril_indices"})
+    init = textwrap.dedent(inspect.getsource(DensityState.__init__))
+    assert _names(init).isdisjoint({"TRACE_TOL", "HERMITIAN_TOL", "trace"})
+    assert complexity._check_density is matcore._check_density
+    assert not hasattr(matcore, "_check_hermitian")
     calls = [0]
-    count_calls(monkeypatch, [matcore, complexity], "_check_hermitian", calls)
+    count_calls(monkeypatch, [matcore, complexity], "_check_density", calls)
     rho = np.eye(3, dtype=complex) / 3
     DensityState(rho)
     assert calls[0] == 1
     complexity.batch_complexity(np.stack([rho] * 4))
     assert calls[0] == 2
+    for call in (DensityState, lambda a: complexity.batch_complexity(np.stack([rho, a]))):
+        with pytest.raises(ValueError, match="is not 1 within 1.0e-12"):
+            call(rho * (1.0 + 1e-10))
+    assert calls[0] == 4
     # hs_norm is the one-row case of _hs_norms.
     norms = [0]
     count_calls(monkeypatch, [matcore], "_hs_norms", norms)

@@ -49,6 +49,7 @@ from stabc import complexity, matcore
 from stabc.complexity import _definition_tables, _moment_complexities, _reports
 from stabc.matcore import (
     HERMITIAN_TOL,
+    TRACE_TOL,
     _batch_psd_sqrt,
     _blocks,
     _checked_sqrt_stack,
@@ -912,32 +913,48 @@ def test_batch_complexity_rejects_non_hermitian_or_non_finite(bad):
 @pytest.mark.parametrize("spectrum", [(1.0 + 1e-9, -1e-9), (0.0, -1.0)])
 def test_batch_complexity_rejects_negative_eigenvalue(d, spectrum):
     # (0, -1) has a zero top eigenvalue, so l- of the qubit root is not det / l+.
+    # Its trace is -1, which the acceptance rule refuses before any root, so
+    # the root kernel is also called on its own.
     rhos = np.stack([np.eye(d, dtype=complex) / d] * 3)
     rhos[1] = np.diag([spectrum[0]] + [0.0] * (d - 2) + [spectrum[1]])
     with pytest.raises(NegativeEigenvalueError):
+        _batch_psd_sqrt(rhos)
+    unit_trace = sum(spectrum) == pytest.approx(1.0)
+    with pytest.raises(NegativeEigenvalueError if unit_trace else ValueError) as error:
         batch_complexity(rhos)
+    assert unit_trace or "is not 1 within" in str(error.value)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_batch_complexity_zero_member(d):
     # The zero matrix has the zero root, without a division warning, and its
-    # empty square-root table is refused instead of giving C = d^2.
+    # empty square-root table is refused instead of giving C = d^2.  Its trace
+    # is 0, so batch_complexity refuses it before any root.
     rhos = np.stack([np.zeros((d, d), dtype=complex), np.eye(d, dtype=complex) / d])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         roots = _batch_psd_sqrt(rhos)
         with pytest.raises(ValueError, match=r"sum \|c\|\^2 = 0"):
+            _moment_complexities(roots)
+        with pytest.raises(ValueError, match=r"trace 0j is not 1 within 1\.0e-12"):
             batch_complexity(rhos)
     assert not roots[0].any()
 
 
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("trace", [2.0, 0.5])
-def test_batch_complexity_refuses_non_unit_trace_member(d, trace):
-    # A trace-2 member used to give C = -3 d^2, below the floor of 0.
+@pytest.mark.parametrize(("trace", "d"), [
+    (2.0, 2), (2.0, 3), (0.5, 2), (0.5, 3),
+    (1 + 1e-10, 2), (1 + 1e-10, 3), (1 + 1e-10, 8), (1 + 1e-11, 64),
+])
+def test_batch_complexity_refuses_non_unit_trace_member(trace, d):
+    # A trace-2 member used to give C = -3 d^2, below the floor of 0.  A trace
+    # of 1 + 1e-10 (1 + 1e-11 at d = 64) passed the 1e-9 square-root table
+    # check and gave C = -8.0e-10, -1.8e-9, -1.28e-8 and -8.2e-8.  The stack
+    # refuses each member with the message DensityState gives it alone.
     rhos = np.stack([np.eye(d, dtype=complex) / d] * 3)
     rhos[1] *= trace
-    with pytest.raises(ValueError, match="square-root table"):
+    with pytest.raises(ValueError, match=r"^trace \(.*\) is not 1 within 1\.0e-12$") as alone:
+        DensityState(rhos[1])
+    with pytest.raises(ValueError, match=re.escape(str(alone.value))):
         batch_complexity(rhos)
 
 
@@ -984,7 +1001,7 @@ def test_batch_complexity_finds_a_fault_in_the_last_block(monkeypatch, d):
         batch_complexity(nan)
     with pytest.raises(NegativeEigenvalueError):
         batch_complexity(negative)
-    with pytest.raises(ValueError, match="square-root table"):
+    with pytest.raises(ValueError, match="is not 1 within"):
         batch_complexity(trace)
 
 
@@ -1053,6 +1070,48 @@ def test_batch_complexity_refuses_what_density_state_refuses(d):
             assert batch_complexity(planted).shape == (5,)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([2, 3, 8, 64]),
+    st.integers(0, 4),
+    st.sampled_from(["trace", "hermiticity"]),
+    st.one_of(st.floats(0.5, 0.98), st.floats(1.02, 2.0)),
+    st.integers(0, 2**32 - 1),
+)
+def test_batch_complexity_refuses_exactly_what_density_state_refuses(d, at, fault, scale, seed):
+    # One member's trace, or its traceless anti-Hermitian part, is moved to
+    # scale times its tolerance, just inside it or just outside.  The stack is
+    # refused exactly when some member's scalar path, DensityState and then
+    # complexity_by_moments, refuses it alone, with the same error type; a
+    # trace refusal names the same trace, bit for bit.
+    rng = np.random.default_rng(seed)
+    rhos = random_mixed_stack(d, (np.arange(5) % d) + 1, rng)
+    if fault == "trace":
+        rhos[at] += (rng.choice([-1.0, 1.0]) * scale * TRACE_TOL / d) * np.eye(d)
+    else:
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        skew = g - g.conj().T
+        skew -= np.trace(skew) / d * np.eye(d)
+        rhos[at] += (scale * HERMITIAN_TOL * d / np.linalg.norm(2 * skew)) * skew
+    refusals = []
+    for rho in rhos:
+        try:
+            complexity_by_moments(DensityState(rho))
+        except ValueError as error:
+            refusals.append(error)
+    refused_by_rule = [error for error in refusals
+                       if isinstance(error, NotHermitianError) or "is not 1 within" in str(error)]
+    assert len(refused_by_rule) == (scale > 1)
+    if refusals:
+        with pytest.raises(ValueError) as error:
+            batch_complexity(rhos)
+        assert type(error.value) is type(refusals[0])
+        if fault == "trace":
+            assert str(error.value) == str(refusals[0])
+    else:
+        assert batch_complexity(rhos).shape == (5,)
+
+
 def test_batch_complexity_refuses_a_frobenius_defect_of_small_entries():
     # A d = 64 Ginibre state with 4e-11 i above the diagonal: every entry of
     # A - A^dag is at most 4e-11, under the 6.4e-11 tolerance, but its
@@ -1076,18 +1135,31 @@ def test_convexity_scan_takes_its_draws_to_the_kernels(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_batch_complexity_raises_the_first_faulty_block(monkeypatch, d):
-    # Blocks are evaluated in order: a trace fault in block 1 raises before a
-    # negative eigenvalue in block 3 is seen (one stack would have raised
-    # NegativeEigenvalueError), and the other way round.
+def test_batch_complexity_checks_the_trace_before_any_root(monkeypatch, d):
+    # The trace is part of the acceptance rule over the whole stack: a trace
+    # fault raises before any root is taken, whether a negative eigenvalue
+    # sits in an earlier block or a later one.
     rhos = _three_block_stack(monkeypatch, d)
-    trace_first = rhos.copy()
-    trace_first[1] *= 2.0
-    trace_first[9] = _negative_eigenvalue(d)
-    with pytest.raises(ValueError, match="square-root table"):
-        batch_complexity(trace_first)
-    negative_first = rhos.copy()
-    negative_first[1] = _negative_eigenvalue(d)
-    negative_first[9] *= 2.0
+    roots = [0]
+    count_calls(monkeypatch, [complexity], "_batch_psd_sqrt", roots)
+    for trace_at, negative_at in ((1, 9), (9, 1)):
+        planted = rhos.copy()
+        planted[trace_at] *= 2.0
+        planted[negative_at] = _negative_eigenvalue(d)
+        with pytest.raises(ValueError, match=r"trace \(2\+0j\) is not 1") as error:
+            batch_complexity(planted)
+        assert not isinstance(error.value, NegativeEigenvalueError)
+    assert roots[0] == 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batch_complexity_raises_the_first_faulty_block(monkeypatch, d):
+    # Roots are taken block by block, in order: a member whose root fails in
+    # block 1 raises before block 3 is evaluated, so its root is never taken.
+    rhos = _three_block_stack(monkeypatch, d)
+    rhos[1] = _negative_eigenvalue(d)
+    roots = [0]
+    count_calls(monkeypatch, [complexity], "_batch_psd_sqrt", roots)
     with pytest.raises(NegativeEigenvalueError):
-        batch_complexity(negative_first)
+        batch_complexity(rhos)
+    assert roots[0] == 1

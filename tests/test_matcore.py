@@ -19,11 +19,12 @@ from stabc import (
     random_mixed,
     random_pure,
 )
+from stabc import matcore
 from stabc.matcore import (
     _BLOCK_ENTRIES,
     SQRT_RANK_RCOND,
     _batch_psd_sqrt,
-    _check_hermitian,
+    _check_density,
     _power_sums,
     check_dim,
     random_mixed_stack,
@@ -363,27 +364,59 @@ def test_hs_norm_is_bitwise_the_numpy_norm():
     assert hs_norm(np.eye(2, dtype=bool)) == math.sqrt(2)
 
 
+def _unit_trace_hermitian_stack(d, n, rng):
+    # Random Hermitian members, each shifted by a multiple of the identity to unit trace.
+    stack = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    stack = (stack + stack.conj().swapaxes(1, 2)) / 2
+    stack -= (np.trace(stack, axis1=1, axis2=2) - 1.0)[:, None, None] * np.eye(d) / d
+    return stack
+
+
 @pytest.mark.parametrize("d", [2, 3, 8, 64])
 def test_hermitian_check_reads_the_frobenius_norm(d):
     # The defect of each member is ||A - A^dag||_F from the lower triangle and
     # its mirror; the stack message carries the worst member's.
     rng = np.random.default_rng(d)
-    stack = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
-    stack = (stack + stack.conj().swapaxes(1, 2)) / 2
+    stack = _unit_trace_hermitian_stack(d, 5, rng)
     stack[2] += 1e-9 * rng.standard_normal((d, d))
     stack[4] += 3e-9j * np.eye(d)
     full = [np.linalg.norm(a - a.conj().T) for a in stack]
     with pytest.raises(NotHermitianError) as error:
-        _check_hermitian(stack, "{defect!r} {tol!r}")
+        _check_density(stack, "{defect!r} {tol!r}")
     defect, tol = map(float, str(error.value).split())
     assert tol == 1e-12 * d
     assert defect == pytest.approx(max(full), rel=1e-14)
-    _check_hermitian(stack[[0, 1, 3]], "")
-    _check_hermitian(stack[:0], "")
+    _check_density(stack[[0, 1, 3]], "")
+    _check_density(stack[:0], "")
     for bad in (np.nan, np.inf):
         stack[1, 0, d - 1] = bad
         with pytest.raises(NotHermitianError):
-            _check_hermitian(stack[:2], "")
+            _check_density(stack[:2], "")
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 64])
+def test_density_check_reads_the_trace_after_the_whole_stack_is_hermitian(monkeypatch, d):
+    # Three blocks of 2, 2 and 1 members.  The trace test refuses the worst
+    # member's |tr - 1| > TRACE_TOL, whichever block holds it, and runs only
+    # once every member has passed the Hermiticity test.
+    monkeypatch.setattr(matcore, "_BLOCK_ENTRIES", 2 * d * d)
+    stack = _unit_trace_hermitian_stack(d, 5, np.random.default_rng(d))
+    _check_density(stack, "")
+    stack[1] += 3e-12 * np.eye(d) / d
+    stack[4] += (5e-12 + 1e-12j) * np.eye(d) / d
+    with pytest.raises(ValueError, match="within 1.0e-12") as error:
+        _check_density(stack, "")
+    assert not isinstance(error.value, NotHermitianError)
+    # The stack names the worst member's trace, bitwise the one it has alone.
+    with pytest.raises(ValueError) as alone:
+        _check_density(stack[4:], "")
+    assert str(error.value) == str(alone.value)
+    trace = complex(np.einsum("ii", stack[4]))
+    assert str(error.value) == f"trace {trace} is not 1 within 1.0e-12"
+    # A Hermiticity fault in a later block than a trace fault still comes first.
+    stack[3, 0, d - 1] += 1e-6
+    with pytest.raises(NotHermitianError):
+        _check_density(stack, "")
 
 
 def test_density_state_is_frozen():
