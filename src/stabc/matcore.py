@@ -130,8 +130,10 @@ def _check_density(stack: np.ndarray, message: str) -> None:
     |tr A - 1| <= TRACE_TOL for every member, else ValueError naming the
     worst member's trace.  Both are read in one walk over the blocks of
     :func:`_blocks`.  Each trace is one ``einsum`` over its member's
-    diagonal, bitwise the same at every position of every stack (a
-    matrix-vector product rounds by position).
+    diagonal, and each squared defect one ``einsum`` of its member's row
+    against the weights, so both are bitwise the same at every position of
+    every stack (a block matrix-vector product rounded some rows one ulp
+    away from the member alone).
     """
     n, d = stack.shape[0], stack.shape[-1]
     lower_at, mirror_at, weights = _triangle_constants(d)
@@ -152,7 +154,7 @@ def _check_density(stack: np.ndarray, message: str) -> None:
         defect, mirror = flat.take(lower_at, axis=1), flat.take(mirror_at, axis=1)
         np.subtract(defect, np.conjugate(mirror, out=mirror), out=defect)
         parts = defect.view(np.float64)
-        squares = np.dot(np.multiply(parts, parts, out=parts), weights).max()
+        squares = np.einsum("nk,k->n", np.multiply(parts, parts, out=parts), weights).max()
         if squares > worst or squares != squares:  # a NaN, once met, stays the worst
             worst = squares
     worst, tol = sqrt(worst), HERMITIAN_TOL * d
@@ -268,14 +270,14 @@ def _pure_members(rhos: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.n
     alone accepts lambda_2 up to ~5e-9, where C, which moves with sqrt(lambda_2),
     is off by ~1e-4.  (tr S)^2 - tr rho = sum_{i != j} sqrt(lambda_i lambda_j)
     is rounding-level for a rank-one root and at least 2 sqrt(SQRT_RANK_RCOND)
-    ~ 6e-7 for any other.  ``roots`` is the stack's roots; only the members
-    whose purity passes are traced.
+    ~ 6e-7 for any other.  ``roots`` is the stack's roots; the traces, one
+    ``einsum`` per member, are taken only when some member's purity passes.
     """
     purities = _power_sums(rhos, 2)
     at = (purities >= 1.0 - PURITY_TOL).nonzero()[0]
     if at.size:  # indexing by an empty array costs more than the purity test itself
-        traces = roots.diagonal(axis1=1, axis2=2)[at].sum(axis=1).real
-        at = at[traces**2 - rhos.diagonal(axis1=1, axis2=2)[at].sum(axis=1).real <= PURITY_TOL]
+        traces = np.einsum("nii->n", roots)[at].real
+        at = at[traces**2 - np.einsum("nii->n", rhos)[at].real <= PURITY_TOL]
     return purities, at
 
 
@@ -363,7 +365,8 @@ def random_mixed_stack(d: int, ranks, rng: np.random.Generator) -> np.ndarray:
     rho = G G^dag / tr(G G^dag) with G a d-by-rank standard complex Gaussian
     matrix (its real parts, then its imaginary parts, row-major); rank 1
     reproduces the Haar pure-state distribution.  All 2 d r_i normals come
-    from one draw, so the stack is bitwise what sequential
+    from one draw, and each member's product and trace are its own (see
+    :func:`_ginibre_stack`), so the stack is bitwise what sequential
     :func:`random_mixed` calls return and leaves the generator in the same
     state.
     """
@@ -388,15 +391,13 @@ def random_rank_mixed_stack(d: int, n: int, rng: np.random.Generator) -> np.ndar
     return random_mixed_stack(d, rng.integers(1, check_dim(d) + 1, size=_check_count(n, "n")), rng)
 
 
-_REAL_PAIR = np.ones(2)
-
-
 def _ginibre_stack(d: int, ranks: np.ndarray, normals: np.ndarray) -> np.ndarray:
     """Trace-normalized Grams of the Ginibre factors laid out back to back in ``normals``.
 
     Member i's 2 d r_i normals follow those of the members before it.  One
-    batched product per distinct rank; each member's product and trace round
-    exactly as the single-matrix ``g @ g.conj().T`` and ``np.trace``, and the
+    batched product per distinct rank; each member's product rounds exactly
+    as the single-matrix ``g @ g.conj().T``, its trace is one ``einsum`` over
+    its diagonal, bitwise the same at every position of the stack, and the
     stack is normalized in place.
     """
     sizes = 2 * d * ranks
@@ -409,16 +410,7 @@ def _ginibre_stack(d: int, ranks: np.ndarray, normals: np.ndarray) -> np.ndarray
         blocks = normals[starts[members][:, None] + np.arange(2 * d * r)]
         g = blocks[:, : d * r].reshape(-1, d, r) + 1j * blocks[:, d * r :].reshape(-1, d, r)
         out[members] = g @ g.conj().swapaxes(-1, -2)
-    # One real BLAS call between the complex products and the trace.  After
-    # any complex matrix product, batched or 2-D (2 x 2 up to 64 x 64, and
-    # (14560, 8) @ (8, 8)), numpy's reductions over short axes run 6-12x slower
-    # until some other calls run (OpenBLAS 0.3.31, x86-64): np.trace of a
-    # (4096, 2, 2) stack takes 0.8-1.6 ms against 0.12-0.14 ms, and the d = 2
-    # convexity scan ~20% longer.  Every real BLAS call tried clears it (a dot
-    # of two 2-vectors, dgemv, dgemm), as does eigh of a (1, 64, 64) or
-    # (1820, 3, 3) stack; einsum does not.  Elementwise ufuncs are not slowed.
-    np.dot(_REAL_PAIR, _REAL_PAIR)
-    return np.divide(out, np.trace(out, axis1=1, axis2=2).real[:, None, None], out=out)
+    return np.divide(out, np.einsum("nii->n", out).real[:, None, None], out=out)
 
 
 def random_mixed(d: int, rank: int, seed) -> DensityState:
@@ -433,7 +425,7 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
+    diag = np.einsum("ii->i", r)
     return q * (diag / np.abs(diag))
 
 

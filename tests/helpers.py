@@ -122,4 +122,4 @@ def oracle_random_mixed(d: int, rank: int, rng: np.random.Generator) -> DensityS
     """One rank-constrained Ginibre state drawn alone (see oracle_random_pure)."""
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = g @ g.conj().T
-    return DensityState(m / np.trace(m).real, check=False)
+    return DensityState(m / np.einsum("ii->", m).real, check=False)

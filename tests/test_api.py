@@ -131,6 +131,17 @@ def test_one_hermiticity_rule_and_one_frobenius_norm(monkeypatch):
     assert norms[0] == 1
 
 
+def test_one_per_member_reduction_idiom_in_matcore():
+    # Every per-member trace is one einsum, and each squared Hermiticity defect
+    # a per-row contraction, not a block matrix-vector product whose rows round
+    # by position; the sampler makes no BLAS call besides its products.
+    source = inspect.getsource(matcore)
+    for text in ("_REAL_PAIR", "np.trace(", ".diagonal("):
+        assert text not in source, text
+    assert "dot" not in _names(inspect.getsource(matcore._check_density))
+    assert _names(inspect.getsource(matcore._ginibre_stack)).isdisjoint({"dot", "trace"})
+
+
 def test_ginibre_layout_is_private_to_matcore():
     # The scan draws through random_mixed_stack; only _ginibre_stack lays out normals.
     for name in ("_ginibre_normals", "_ginibre_starts"):

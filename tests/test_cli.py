@@ -227,6 +227,39 @@ def test_repinned_goldens_move_by_rounding_only(monkeypatch, tmp_path, capsys, a
     assert rounding_changes_only(out, (GOLDEN / golden).read_text()) == []
 
 
+def _np_trace_ginibre_stack(d, ranks, normals):
+    # The Ginibre sampler as it was before every per-member trace became one
+    # einsum: np.trace over the stack, after a real dot that cleared an
+    # OpenBLAS slowdown of short reductions following complex products.
+    sizes = 2 * d * ranks
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty((ranks.size, d, d), dtype=complex)
+    for r in np.flatnonzero(np.bincount(ranks)):
+        members = np.flatnonzero(ranks == r)
+        blocks = normals[starts[members][:, None] + np.arange(2 * d * r)]
+        g = blocks[:, : d * r].reshape(-1, d, r) + 1j * blocks[:, d * r :].reshape(-1, d, r)
+        out[members] = g @ g.conj().swapaxes(-1, -2)
+    np.dot(np.ones(2), np.ones(2))
+    return np.divide(out, np.trace(out, axis1=1, axis2=2).real[:, None, None], out=out)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["verify", "all", "--seed", "0"], "verify_all_seed0.txt"),
+    (["verify", "weyl", "--d", "2", "3", "4", "5", "7", "16", "64", "--seed", "0"],
+     "verify_weyl_seed0.txt"),
+    (["verify", "dual-path", "--d", "8", "64"], "verify_dual_path_d8_d64.txt"),
+])
+def test_einsum_trace_goldens_move_by_rounding_only(monkeypatch, capsys, argv, golden):
+    # These files were re-pinned when the sampler's trace became one einsum
+    # per member.  With the np.trace sampler swapped back in, each command
+    # prints its file again up to rounding: the same rows, names, statuses and counts.
+    monkeypatch.setattr(matcore, "_ginibre_stack", _np_trace_ginibre_stack)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out != (GOLDEN / golden).read_text()
+    assert rounding_changes_only(out, (GOLDEN / golden).read_text()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "dual-path", "--samples", "-1"],
     ["verify", "dual-path", "--samples", "0"],

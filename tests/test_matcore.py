@@ -32,7 +32,9 @@ from stabc.matcore import (
     random_pure_vectors,
     random_rank_mixed_stack,
 )
+from stabc.charfun import _moment_complexities
 from stabc.states import state_to_bloch
+from stabc.weyl import weyl_coefficient_table
 
 SQRT3_4 = np.sqrt(0.75)  # sqrt of the 0.75 eigenvalue, frozen oracle value
 
@@ -417,6 +419,53 @@ def test_density_check_reads_the_trace_after_the_whole_stack_is_hermitian(monkey
     stack[3, 0, d - 1] += 1e-6
     with pytest.raises(NotHermitianError):
         _check_density(stack, "")
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 64])
+def test_per_member_kernels_are_bitwise_the_one_row_case_at_every_position(d):
+    # One block and the start of a second: every member alone gives the bits
+    # it has in its stack, for the sampler and the table, root and moment kernels.
+    n = _BLOCK_ENTRIES // (d * d) + 3
+    ranks = [(1, min(2, d), d)[i % 3] for i in range(n)]
+    rhos = random_mixed_stack(d, ranks, np.random.default_rng(d))
+    rng = np.random.default_rng(d)
+    alone = np.array([random_mixed_stack(d, [rank], rng)[0] for rank in ranks])
+    assert np.array_equal(alone, rhos)
+    roots = _batch_psd_sqrt(rhos)
+    for kernel, stack in ((weyl_coefficient_table, rhos), (_batch_psd_sqrt, rhos),
+                          (_moment_complexities, roots)):
+        stacked = kernel(stack)
+        assert all(np.array_equal(kernel(member[None])[0], stacked[i])
+                   for i, member in enumerate(stack)), kernel.__name__
+
+
+def _defect_alone(monkeypatch, member):
+    # The member's own Hermiticity defect, read through the refusal message at tolerance 0.
+    monkeypatch.setattr(matcore, "HERMITIAN_TOL", 0.0)
+    with pytest.raises(NotHermitianError) as error:
+        _check_density(member[None], "{defect!r}")
+    return float(str(error.value))
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 64])
+def test_defect_at_the_tolerance_is_accepted_at_every_stack_position(monkeypatch, d):
+    # Each member's squared defect is one row contraction of its own: a member
+    # whose defect is exactly the tolerance passes alone, and in a stack of
+    # its copies, which puts it at every position of one block and the next.
+    # (A block matrix-vector product rounded some rows of a block up by one ulp.)
+    rng = np.random.default_rng(1)
+    stack = _unit_trace_hermitian_stack(d, 100, rng)
+    stack += 1e-13j / d * rng.standard_normal(stack.shape)
+    n, checked = _BLOCK_ENTRIES // (d * d) + 3, 0
+    for member in stack:
+        defect = _defect_alone(monkeypatch, member)
+        if defect / d * d != defect:  # no tolerance d * HERMITIAN_TOL equals it
+            continue
+        monkeypatch.setattr(matcore, "HERMITIAN_TOL", defect / d)
+        _check_density(member[None], "")
+        _check_density(np.broadcast_to(member, (n, d, d)), "")
+        checked += 1
+    assert checked >= 50
 
 
 def test_density_state_is_frozen():

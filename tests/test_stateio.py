@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabc import DensityState, StateFileError, random_mixed, state_to_bloch
+from stabc import DensityState, StateFileError, mix, random_mixed, state_to_bloch
 from stabc.stateio import (
     KINDS,
     bloch_state_dict,
@@ -80,6 +80,26 @@ def test_mixture_weight_validation():
            {"weight": 1.5, "amplitudes": [[0, 0], [1, 0]]}]
     with pytest.raises(StateFileError, match="nonnegative"):
         state_from_dict({"dim": 2, "kind": "mixture", "mixture": bad})
+
+
+@pytest.mark.parametrize("weights, accepted", [
+    ([1 + 1e-13, -1e-13], True), ([1 + 1e-11, -1e-11], False),
+    ([0.5, 0.5 + 2e-8], False), ([float("nan"), 1.0], False)])
+def test_mixture_file_and_mix_share_one_weight_rule(tmp_path, weights, accepted):
+    # A weight down to -1e-12 is rounding, and the sum must be 1 within 1e-8,
+    # in a state file as in mix.
+    doc = {"dim": 2, "kind": "mixture", "mixture": [
+        {"weight": w, "amplitudes": amplitudes}
+        for w, amplitudes in zip(weights, ([[1, 0], [0, 0]], [[0, 0], [1, 0]]))]}
+    path = write(tmp_path, doc)
+    parts = [DensityState.pure([1, 0]), DensityState.pure([0, 1])]
+    if accepted:
+        assert np.array_equal(load_state(path).rho, mix(parts, weights).rho)
+    else:
+        with pytest.raises(ValueError, match="mixture weights"):
+            mix(parts, weights)
+        with pytest.raises(StateFileError, match="mixture weights"):
+            load_state(path)
 
 
 def test_pure_norm_bands():
