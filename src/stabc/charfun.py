@@ -67,22 +67,19 @@ class CharTable:
         return self.values.shape[0]
 
 
-def _check_invariant(
-    tables: np.ndarray, source: str, square_sums: np.ndarray | None = None
-) -> None:
+def _check_invariant(tables: np.ndarray, source: str) -> None:
     """Check every member of a stack of tables (n, d, d) against its source's invariant.
 
     ``state`` tables need c(0, 0) = 1 and ``sqrt_state`` tables
     sum |c|^2 = d; a failure (NaN included) raises ValueError naming the
     first failing member's value.  :class:`CharTable` checks the one-row case.
-    ``square_sums`` are the tables' sum |c|^2 if the caller already has them.
     """
     if source == SOURCE_STATE:
         # c(0,0) = tr(D(0,0) A) = tr A: the state's own trace bound.
         what, values, target, tol = "state table has c(0,0)", tables[:, 0, 0], 1, TRACE_TOL
     elif source == SOURCE_SQRT_STATE:
         what, target, tol = "square-root table has sum |c|^2", tables.shape[-1], _SQRT_NORM_TOL
-        values = _power_sums(tables, 2) if square_sums is None else square_sums
+        values = _power_sums(tables, 2)
     else:
         return
     defects = np.abs(values - target)
@@ -109,14 +106,12 @@ def _moment_complexities(roots: np.ndarray) -> np.ndarray:
     (sum |c|^2 = d tr S^2 = d), else ValueError.  A state's unit trace is
     decided before its root, by the one acceptance rule
     (:func:`~stabc.matcore._check_density`), so this is the root's own
-    invariant: it guards the root and its table.  The check's sums and the
-    moments come from one |c| pass.
+    invariant: it guards the root and its table.
     """
     d = roots.shape[-1]
     tables = weyl_coefficient_table(roots)
-    squares, fourths = _power_sums(tables, 2, 4)
-    _check_invariant(tables, SOURCE_SQRT_STATE, squares)
-    return d * d - fourths
+    _check_invariant(tables, SOURCE_SQRT_STATE)
+    return d * d - _power_sums(tables, 4)
 
 
 def char_table(a: np.ndarray | DensityState) -> CharTable:

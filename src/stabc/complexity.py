@@ -207,10 +207,12 @@ class ComplexityReport:
 def complexity_report(rho: DensityState) -> ComplexityReport:
     """Evaluate both routes, cross-check them, and bundle the diagnostics.
 
-    Raises if any internal consistency check fails: the definition route's
-    trace/norm and root-Hermiticity checks, the agreement of the two routes,
-    the global bounds, or (for pure states) the complementarity with the
-    fourth-moment magic witness.  The one-row case of :func:`_reports`.
+    Raises the ValueError of :func:`complexity_by_moments` on the root's table
+    check first, then ArithmeticError if any internal consistency check fails:
+    the definition route's trace/norm and root-Hermiticity checks, the
+    agreement of the two routes, the global bounds, or (for pure states) the
+    complementarity with the fourth-moment magic witness.  The one-row case
+    of :func:`_reports`.
     """
     block = _reports(rho.rho[None], psd_sqrt(rho)[None])
     c, c_def, gap, purity, m4 = [column.item() for column in block[:5]]
@@ -241,9 +243,9 @@ def _reports(rhos: np.ndarray, roots: np.ndarray) -> _ReportBlock:
     reports the worst member.  Only pure members get state tables and an m4 entry.
     """
     d = roots.shape[-1]
+    c_mom = _moment_complexities(roots)
     jordan, lie = _definition_tables(roots)
     c_def = (jordan * lie).sum(axis=(1, 2))
-    c_mom = _moment_complexities(roots)
     gap = np.abs(c_def - c_mom)
     tol = _PATH_GAP_TOL * d * d
     if not gap.max(initial=0.0) <= tol:

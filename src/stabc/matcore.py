@@ -232,7 +232,7 @@ class DensityState:
         return f"DensityState(dim={self.dim}, purity={self.purity():.6f})"
 
 
-def _power_sums(stack: np.ndarray, p: float, *more: float):
+def _power_sums(stack: np.ndarray, p: float) -> np.ndarray:
     """sum |x|^p of each matrix of a stack (..., d, d): the one power-sum reduction.
 
     Over characteristic tables it gives the moments; at p = 2 over states, the purity.
@@ -242,25 +242,19 @@ def _power_sums(stack: np.ndarray, p: float, *more: float):
     other p sums (|x|^2)^(p/2).  Each sum is one ``einsum`` per member, so a
     member's sum is bitwise the same at every position of every stack: a sum
     over axes (-2, -1) costs ~3x as much on short rows, and a matrix-vector
-    product rounds by position.  Further exponents share the one |x|^2 pass:
-    the sums then come back as a tuple, one array per exponent in order, each
-    bitwise its own call.
+    product rounds by position.
     """
     # The float64 view needs contiguous complex rows: a strided or real stack is copied.
     stack = np.ascontiguousarray(stack, dtype=complex)
-    parts = stack.view(np.float64)
-    squares = None
-    sums = []
-    for q in (p, *more):
-        if q == 2:
-            sums.append(np.einsum("...ij,...ij->...", parts, parts))
-            continue
-        if squares is None:  # one complex buffer: a second temporary raises a block's peak
-            product = np.conjugate(stack)
-            squares = np.multiply(stack, product, out=product).real
-        sums.append(np.einsum("...ij,...ij->...", squares, squares) if q == 4
-                    else np.einsum("...ij->...", squares ** (q / 2)))
-    return tuple(sums) if more else sums[0]
+    if p == 2:
+        parts = stack.view(np.float64)
+        return np.einsum("...ij,...ij->...", parts, parts)
+    # One complex buffer: a second temporary raises a block's peak.
+    product = np.conjugate(stack)
+    squares = np.multiply(stack, product, out=product).real
+    if p == 4:
+        return np.einsum("...ij,...ij->...", squares, squares)
+    return np.einsum("...ij->...", squares ** (p / 2))
 
 
 def _pure_members(rhos: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,9 +427,8 @@ def _batch_psd_sqrt(rhos: np.ndarray) -> np.ndarray:
     """PSD square roots of a stack of Hermitian PSD matrices, shape (..., d, d).
 
     The one root kernel: :func:`psd_sqrt` calls it on a stack of one.  Reads
-    the lower triangle of each matrix, as ``eigh`` does.  Every member obeys
-    the same policy: an eigenvalue below EIGENVALUE_FLOOR raises, and eigenvalues
-    below SQRT_RANK_RCOND of the member's largest are zeroed.  d >= 3 uses
+    the lower triangle of each matrix, as ``eigh`` does.  Every member's
+    eigenvalues obey the one PSD rule of :func:`_cut_spectrum`.  d >= 3 uses
     one stacked ``eigh`` and rebuilds each root as one matrix product; d = 2
     uses the closed form S = (rho + sqrt(l+ l-) 1) / (sqrt(l+) + sqrt(l-)),
     which needs no eigenvectors.  An empty stack has an empty stack of roots.
@@ -443,25 +436,37 @@ def _batch_psd_sqrt(rhos: np.ndarray) -> np.ndarray:
     if rhos.shape[-1] == 2:
         return _qubit_psd_sqrt(rhos)
     w, v = np.linalg.eigh(rhos)
-    if float(w.min(initial=0.0)) < EIGENVALUE_FLOOR:
-        raise NegativeEigenvalueError(
-            f"eigenvalue {w.min():.3e} below tolerated floor {EIGENVALUE_FLOOR:.1e}"
-        )
-    w = np.where(w < SQRT_RANK_RCOND * w[..., -1:], 0.0, w)
+    _cut_spectrum(w, w[..., -1:])
     scaled = v * np.sqrt(w)[..., None, :]
     # Conjugated in place: a conjugated copy would be one more stack-sized
     # temporary at the peak of a large batch.
     return scaled @ np.conjugate(v, out=v).swapaxes(-1, -2)
 
 
+def _cut_spectrum(w: np.ndarray, top: np.ndarray) -> None:
+    """The one PSD rule for the eigenvalues ``w`` of a stack, applied in place.
+
+    An eigenvalue below EIGENVALUE_FLOOR raises NegativeEigenvalueError (a
+    NaN does not); then every eigenvalue below SQRT_RANK_RCOND times ``top``,
+    its member's largest eigenvalue broadcast against ``w``, is zeroed.
+    """
+    low = float(w.min(initial=0.0))
+    if low < EIGENVALUE_FLOOR:
+        raise NegativeEigenvalueError(
+            f"eigenvalue {low:.3e} below tolerated floor {EIGENVALUE_FLOOR:.1e}")
+    np.copyto(w, 0.0, where=w < SQRT_RANK_RCOND * top)
+
+
 def _qubit_psd_sqrt(rhos: np.ndarray) -> np.ndarray:
-    # The closed form of _batch_psd_sqrt, each step written into one of four
-    # block-sized buffers (lam_plus, lam_minus, t, u) in the operation order
-    # of the plain expressions, so the roots are bitwise theirs.
+    # The closed form of _batch_psd_sqrt, each step written into four block-sized
+    # buffers (lam_minus and lam_plus, the two rows of one, t, u) in the operation
+    # order of the plain expressions, so the roots are bitwise theirs.
     a = rhos[..., 0, 0].real
     c = rhos[..., 1, 1].real
     b = rhos[..., 1, 0]
-    lam_plus, lam_minus, t, u = (np.empty(a.shape) for _ in range(4))
+    lam = np.empty((2,) + a.shape)
+    lam_minus, lam_plus = lam
+    t, u = np.empty(a.shape), np.empty(a.shape)
     np.square(b.real, out=u)
     u += np.square(b.imag, out=t)  # u = |b|^2
     np.multiply(0.5, np.add(a, c, out=lam_plus), out=lam_plus)
@@ -472,13 +477,7 @@ def _qubit_psd_sqrt(rhos: np.ndarray) -> np.ndarray:
     np.subtract(np.add(a, c, out=lam_minus), lam_plus, out=lam_minus)
     mask = np.greater(lam_plus, 0)
     np.divide(np.subtract(np.multiply(a, c, out=t), u, out=t), lam_plus, out=lam_minus, where=mask)
-    if float(lam_minus.min(initial=0.0)) < EIGENVALUE_FLOOR:
-        raise NegativeEigenvalueError(
-            f"eigenvalue {lam_minus.min():.3e} below tolerated floor {EIGENVALUE_FLOOR:.1e}"
-        )
-    cut = np.multiply(SQRT_RANK_RCOND, lam_plus, out=t)
-    np.copyto(lam_minus, 0.0, where=np.less(lam_minus, cut, out=mask))
-    np.copyto(lam_plus, 0.0, where=np.less(lam_plus, cut, out=mask))
+    _cut_spectrum(lam, lam_plus)
     norm = np.sqrt(lam_minus, out=t)
     norm += np.sqrt(lam_plus, out=u)
     # A member whose eigenvalues are both zeroed has the zero root.

@@ -84,7 +84,8 @@ DEFAULT_DIMS = (2, 3, 4, 5)
 # the product-law row holds the d^2 operators D(k,l) of one d (4,096 entries at d = 8)
 # and takes the quadruples in blocks of the block rule: one block's stacked left,
 # right and reduced operators, its product and its residual are 2^14 entries each
-# (256 quadruples of 8 x 8 at d = 8, 256 KiB per stack).
+# (256 quadruples of 8 x 8 at d = 8, 256 KiB per stack).  suite_tradeoff's explicit
+# J and I hold the same operators and walk (member, operator) pairs the same way.
 _WEYL_LAW_DIM_CAP = 8
 
 
@@ -235,12 +236,35 @@ def suite_tradeoff(dims=None, samples=None, seed=0) -> list[CheckResult]:
     rng = _rng_for(seed, 3)
     results = []
     for d in dims:
-        # Every member goes through the report and its checks.
-        def defects(members):
+        explicit = d <= _WEYL_LAW_DIM_CAP
+        ops = _displacements(d, *np.divmod(np.arange(d * d), d)) if explicit else None  # [k d + l]
+
+        def defects(members):  # |J + I - 2| and the gap to the definition route's tables
             rhos = _sample_block(d, members, rng)
-            reports = _reports(rhos, _checked_sqrt_stack(rhos))
-            return np.abs(reports.jordan + reports.lie - 2.0).max(axis=(1, 2))
-        results.append(_leq(f"tradeoff-sum-defect-d{d}", _block_max(n, d, defects), 1e-10))
+            roots = _checked_sqrt_stack(rhos)
+            reports = _reports(rhos, roots)  # every member goes through the report and its checks
+            if not explicit:
+                return np.abs(reports.jordan + reports.lie - 2.0).max(axis=(1, 2))
+            # J = ||{D, S}||^2 / 2 and I = ||[D, S]||^2 / 2 from explicit operators,
+            # pair q = i d^2 + k d + l holding member i's root and D(k, l).
+            norms = np.empty((2, len(members) * d * d))
+            for pairs in _blocks(norms.shape[1], d):
+                q = np.arange(pairs.start, pairs.stop)
+                root, op = roots[q // (d * d)], ops[q % (d * d)]
+                ds, sd = op @ root, root @ op
+                norms[0, pairs.start:pairs.stop] = _power_sums(ds + sd, 2)
+                norms[1, pairs.start:pairs.stop] = _power_sums(ds - sd, 2)
+            jordan, lie = 0.5 * norms.reshape(2, len(members), d, d)
+            gap = np.maximum(np.abs(jordan - reports.jordan), np.abs(lie - reports.lie))
+            return np.stack([np.abs(jordan + lie - 2.0), gap]).max(axis=(2, 3))
+        if not explicit:
+            note = f"J + I of the definition route; explicit operators for d <= {_WEYL_LAW_DIM_CAP}"
+            results.append(
+                _leq(f"tradeoff-sum-defect-d{d}", _block_max(n, d, defects), 1e-10, note))
+            continue
+        sum_defect, gap = _block_max(n, d, defects)
+        results += [_leq(f"tradeoff-sum-defect-d{d}", sum_defect, 1e-10),
+                    _leq(f"tradeoff-definition-route-gap-d{d}", gap, 1e-10)]
     return results
 
 

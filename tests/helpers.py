@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 
-from stabc.matcore import SQRT_RANK_RCOND, DensityState
+from stabc.matcore import SQRT_RANK_RCOND, DensityState, haar_unitary
 
 
 def count_calls(monkeypatch, modules, name, counter):
@@ -123,3 +123,17 @@ def oracle_random_mixed(d: int, rank: int, rng: np.random.Generator) -> DensityS
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = g @ g.conj().T
     return DensityState(m / np.einsum("ii->", m).real, check=False)
+
+
+def dust_below_zero(d: int) -> np.ndarray:
+    """A Hermitian, unit-trace state with d - 1 eigenvalues at -5e-11.
+
+    The dust is above the eigenvalue floor, so the acceptance rule admits the
+    state; zeroing it raises tr S^2 to 1 + 5e-11 (d - 1), and at d >= 8 the
+    square-root table's sum |c|^2 = d tr S^2 misses d by more than 1e-9.
+    """
+    w = np.full(d, -5e-11)
+    w[0] = 1.0 + 5e-11 * (d - 1)
+    u = haar_unitary(d, d)
+    m = (u * w) @ u.conj().T
+    return (m + m.conj().T) / 2

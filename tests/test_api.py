@@ -131,6 +131,21 @@ def test_one_hermiticity_rule_and_one_frobenius_norm(monkeypatch):
     assert norms[0] == 1
 
 
+def test_one_psd_rule_for_every_square_root(monkeypatch):
+    # The eigenvalue floor and the dust cut are read by one function, which the
+    # eigh branch and the d = 2 closed form each call once per stack.
+    readers = {func.name for func in ast.walk(ast.parse(inspect.getsource(matcore)))
+               if isinstance(func, ast.FunctionDef)
+               and {"EIGENVALUE_FLOOR", "SQRT_RANK_RCOND"} & {
+                   node.id for node in ast.walk(func) if isinstance(node, ast.Name)}}
+    assert readers == {"_cut_spectrum"}
+    calls = [0]
+    count_calls(monkeypatch, [matcore], "_cut_spectrum", calls)
+    for d in (2, 3):
+        matcore._batch_psd_sqrt(np.stack([np.eye(d, dtype=complex) / d] * 5))
+    assert calls[0] == 2
+
+
 def test_one_per_member_reduction_idiom_in_matcore():
     # Every per-member trace is one einsum, and each squared Hermiticity defect
     # a per-row contraction, not a block matrix-vector product whose rows round

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import rounding_changes_only
+from helpers import dust_below_zero, rounding_changes_only
 
 from stabc import charfun, cli, complexity, matcore, verify
 from stabc.cli import build_parser, main
@@ -51,6 +51,17 @@ def test_compute_maximally_mixed_density(tmp_path, capsys):
     report = json.loads(out)
     assert abs(report["c_value"]) <= 1e-9
     assert report["purity"] == pytest.approx(0.25, abs=1e-12)
+
+
+def test_compute_refuses_an_admitted_state_by_its_table_check(tmp_path, capsys):
+    # DensityState admits the state and the root's own table check refuses it:
+    # an input the routes cannot serve (exit 2), not a failed cross-check (exit 1).
+    rho = dust_below_zero(64)
+    doc = {"dim": 64, "kind": "density",
+           "matrix": [[float(x.real), float(x.imag)] for x in rho.reshape(-1)]}
+    code, out, err = run_cli(capsys, "compute", write_state(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: square-root table has sum |c|^2 = 64.0000002"), err
 
 
 def test_compute_pure_bloch_file(tmp_path, capsys):
@@ -173,8 +184,9 @@ def test_output_matches_golden_file(capsys, argv, golden):
     # sweep and the dual-path file while the sweep made one report per point
     # and dual-path drew its states as one stack, the d = 8 weyl file while
     # the group law was walked one quadruple at a time; the verify file's two
-    # bounds-mixed d = 5 rows since bounds draws its mixed ranks per block);
-    # pins the text output byte for byte.
+    # bounds-mixed d = 5 rows since bounds draws its mixed ranks per block, and
+    # its trade-off rows since J and I come from explicit operators); pins the
+    # text output byte for byte.
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
@@ -194,12 +206,10 @@ def test_compute_tables_match_golden_file(tmp_path, capsys, sample, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
-def _plain_power_sums(stack, p, *more):
+def _plain_power_sums(stack, p):
     # The power-sum reduction as it was before the one real pass: |x| by
     # complex hypot, then libm pow and np.sum over axes (-2, -1).
-    magnitudes = np.abs(stack)
-    sums = tuple((magnitudes**q).sum(axis=(-2, -1)) for q in (p, *more))
-    return sums if more else sums[0]
+    return (np.abs(stack) ** p).sum(axis=(-2, -1))
 
 
 @pytest.mark.parametrize("argv, golden", [

@@ -5,7 +5,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 from helpers import (
-    count_calls, naive_jordan_lie, naive_weyl_matrix, naive_weyl_stack, traced_peak_mib,
+    count_calls, dust_below_zero, naive_jordan_lie, naive_weyl_matrix, naive_weyl_stack,
+    traced_peak_mib,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -879,6 +880,29 @@ def test_stacked_kernels_refuse_a_corrupted_member_as_the_scalar_path(d):
         _checked_sqrt_stack(rhos)
     with pytest.raises(ArithmeticError, match="consistency"):
         psd_sqrt(DensityState(rhos[1], check=False))
+
+
+@pytest.mark.parametrize("d", [8, 64])
+def test_every_entry_point_refuses_a_root_by_its_table_check_first(d):
+    # The report ran the definition route first, which raised ArithmeticError
+    # (a trace/norm defect) where the moment paths raise the table's ValueError.
+    rho = dust_below_zero(d)
+    state = DensityState(rho)
+    scaled = _state_with_root(psd_sqrt(random_mixed(d, 2, d)) * 1.01)
+    cases = [
+        [lambda: complexity_by_moments(state), lambda: batch_complexity(rho[None]),
+         lambda: complexity_report(state)],
+        [lambda: complexity_by_moments(scaled), lambda: complexity_report(scaled)],
+    ]
+    for calls in cases:
+        refusals = set()
+        for call in calls:
+            with pytest.raises(Exception) as raised:
+                call()
+            refusals.add((type(raised.value), str(raised.value)))
+        assert len(refusals) == 1, refusals
+        [(kind, message)] = refusals
+        assert kind is ValueError and message.startswith("square-root table has sum |c|^2"), message
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -517,30 +517,19 @@ def test_power_sums_agree_with_an_exact_sum(d):
 def test_power_sums_are_bitwise_the_one_row_case_at_every_position(d):
     # Odd d: the members start at every offset modulo a 4- or 8-lane vector.
     stack = _gaussian_stack(d, 1 + _BLOCK_ENTRIES // (d * d), d)
-    sums = _power_sums(stack, *POWER_SUM_EXPONENTS)
-    for i, member in enumerate(stack):
-        one = _power_sums(member[None], *POWER_SUM_EXPONENTS)
-        assert [total[i] for total in sums] == [total[0] for total in one], i
-    # A fancy-indexed stack, as the purity rule's rhos[at], is its members' rows.
-    at = np.arange(stack.shape[0])[::-3]
-    assert all(np.array_equal(picked, total[at])
-               for picked, total in zip(_power_sums(stack[at], *POWER_SUM_EXPONENTS), sums))
-
-
-@pytest.mark.parametrize("d", [2, 3, 64])
-def test_power_sums_of_several_exponents_are_each_their_own_call(d):
-    stack = _gaussian_stack(d, 7, d)
-    squares, fourths = _power_sums(stack, 2, 4)
-    assert np.array_equal(squares, _power_sums(stack, 2))
-    assert np.array_equal(fourths, _power_sums(stack, 4))
-    assert np.array_equal(_power_sums(stack, 3.5, 2)[1], squares)
+    for p in POWER_SUM_EXPONENTS:
+        sums = _power_sums(stack, p)
+        for i, member in enumerate(stack):
+            assert sums[i] == _power_sums(member[None], p)[0], (p, i)
+        # A fancy-indexed stack, as the purity rule's rhos[at], is its members' rows.
+        at = np.arange(stack.shape[0])[::-3]
+        assert np.array_equal(_power_sums(stack[at], p), sums[at]), p
 
 
 @pytest.mark.parametrize("d", [2, 3, 64])
 def test_power_sums_of_an_empty_stack_are_empty(d):
     empty = np.zeros((0, d, d), dtype=complex)
-    assert _power_sums(empty, 2).shape == (0,)
-    assert [total.shape for total in _power_sums(empty, 2, 4, 3.5)] == [(0,)] * 3
+    assert [_power_sums(empty, p).shape for p in (2, 4, 3.5)] == [(0,)] * 3
 
 
 def test_power_sums_take_any_square_stack():

@@ -59,6 +59,18 @@ def test_tradeoff_suite_reports_each_block_in_one_call(monkeypatch):
     assert tables[0] == len(dims) and reports[0] == 0
 
 
+def test_tradeoff_gap_row_fails_tables_transposed_in_both_forms(monkeypatch):
+    # k <-> l made alike in the trace and norm forms passes the definition
+    # route's own cross-check, the route gap and the sum row (C is unchanged);
+    # only the tables from explicit operators see it.
+    tables = complexity._definition_tables
+    monkeypatch.setattr(complexity, "_definition_tables",
+                        lambda roots: tuple(t.swapaxes(1, 2) for t in tables(roots)))
+    rows = verify.suite_tradeoff(samples=20, seed=0)
+    assert [r.passed for r in rows] == [True, False] * len(verify.DEFAULT_DIMS), rows
+    assert min(r.observed for r in rows[1::2]) > 0.1
+
+
 @pytest.mark.parametrize("suite", [verify.suite_tradeoff, verify.suite_dual_path,
                                    verify.suite_bounds, verify.suite_complementarity,
                                    verify.suite_charfun, verify.suite_clifford])
